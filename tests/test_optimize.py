@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from branchflow import (
     OptimizerConfig,
@@ -18,7 +19,13 @@ from branchflow import (
     power_cost,
 )
 from branchflow.graph import is_never_cyclic
-from branchflow.optimize import direct_topology, instance_connector_witness
+from branchflow.optimize import (
+    _boundary_matrix,
+    _incidence,
+    _SampleLP,
+    direct_topology,
+    instance_connector_witness,
+)
 
 from conftest import random_path
 
@@ -88,6 +95,35 @@ def test_lambda_sweep_reduces_witness_derivative():
 # ---------------------------------------------------------------------------
 # baselines and seeds
 # ---------------------------------------------------------------------------
+
+def test_sample_lp_matches_linprog():
+    # the per-sample solve must return linprog's x bit for bit, and fail exactly when it does
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for n in (1, 2):
+        mu = random_path(rng, n=n, atoms=3)
+        nu = random_path(rng, n=n, atoms=2)
+        for G in (direct_topology(mu, nu), instance_connector_witness(mu, nu, 1),
+                  instance_connector_witness(mu, nu, 2)):
+            B = _incidence(G)
+            b = _boundary_matrix(G, mu, nu)
+            unbalanced = b[:, 0].copy()
+            unbalanced[0] += 0.5
+            rhs_cases = [b[:, j] for j in range(b.shape[1])] + [-b[:, 0], unbalanced]
+            costs = [G.lengths, np.ones(G.n_edges), np.zeros(G.n_edges),
+                     G.lengths * rng.uniform(1.0, 1.5, G.n_edges), rng.uniform(-1.0, 1.0, G.n_edges)]
+            for ub in (2.0, 0.5):
+                sample_lp = _SampleLP(B, ub)
+                for rhs in rhs_cases:
+                    for cost in costs:
+                        x = sample_lp.solve(cost, rhs)
+                        res = linprog(c=cost, A_eq=B, b_eq=rhs, bounds=(0.0, ub), method="highs")
+                        assert (x is not None) == res.success
+                        if res.success:
+                            assert np.array_equal(x, res.x)
+                        outcomes.append(res.success)
+    assert any(outcomes) and not all(outcomes)
+
 
 def test_baseline_upper_returns_finite_energy_and_witness():
     rng = np.random.default_rng(0)
