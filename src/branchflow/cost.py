@@ -190,8 +190,11 @@ def rho(tau: TransportCost, m: float) -> float:
     if tau.kind == "power":
         # tau(w)/w = w**(alpha-1) is nonincreasing, so the inf sits at w = m
         return float(m ** (tau.alpha - 1.0))
-    grid = np.linspace(m / 2.0, m, 10_001)
-    val = float(np.min(eval_cost(tau, grid) / grid))
+    # tau(w)/w = a/w + b is monotone on each linear piece (and on the constant
+    # tail), so the inf sits at m/2, at m, or at a sample abscissa between them
+    xs = tau.samples[:, 0]
+    w = np.concatenate([[m / 2.0, m], xs[(xs > m / 2.0) & (xs < m)]])
+    val = float(np.min(eval_cost(tau, w) / w))
     if val <= 0:
         raise ValueError("cost ratio vanished on [m/2, m]; cost is not positive there")
     return val

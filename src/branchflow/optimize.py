@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  no longer called; bench/tracing.py traces this name
-from scipy.sparse import csc_array
 
 from . import wasserstein
 from .cost import TransportCost, check_admissible
@@ -40,13 +39,8 @@ from .graph import (
     separate_supports,
     strip_strong_cycles,
 )
+from .lp import _SampleLP
 from .measures import AtomicMeasurePath, derivative_path, lp_time_norm
-
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
-    raise ImportError("branchflow needs SciPy >= 1.17.1, whose scipy.optimize._highspy._core "
-                      "holds the HiGHS bindings the weight LPs use") from exc
 
 
 @dataclass(frozen=True)
@@ -120,64 +114,6 @@ def _boundary_matrix(G: TransportGraph, a_plus, a_minus) -> np.ndarray:
                 raise ValueError(f"boundary point {key} is not a vertex of the topology")
             b[lookup[key]] += sign * row
     return b
-
-
-class _SampleLP:
-    """min c.x subject to B x = b, 0 <= x <= ub on one topology, solved by HiGHS.
-
-    Time samples share B and differ only in c and b, so the model is built
-    once and each solve swaps in its cost and right-hand side.  Options
-    and the acceptance test are those of ``scipy.optimize.linprog(...,
-    method="highs")`` (``_linprog_highs`` and ``_check_result``), so each
-    solve returns exactly what that call returns, without its per-call
-    input cleaning and option checking.  Only this class knows the HiGHS
-    format.
-    """
-
-    _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
-
-    def __init__(self, B: np.ndarray, ub: float):
-        A = csc_array(B)
-        nv, ne = B.shape
-        lp = _highs.HighsLp()
-        lp.num_col_ = ne
-        lp.num_row_ = nv
-        lp.a_matrix_.num_col_ = ne
-        lp.a_matrix_.num_row_ = nv
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_lower_ = np.zeros(ne)
-        lp.col_upper_ = np.full(ne, ub)  # kHighsInf is inf, so an infinite bound passes as is
-        options = _highs.HighsOptions()  # those _linprog_highs sets for method="highs"
-        options.presolve = "on"
-        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        options.highs_debug_level = 0
-        options.log_to_console = False
-        options.output_flag = False
-        self._lp, self._options, self._ub = lp, options, ub
-
-    def solve(self, cost, rhs):
-        """Optimal x for one sample, or None where linprog reports failure."""
-        if not (np.isfinite(cost).all() and np.isfinite(rhs).all()):  # linprog raises here too
-            raise ValueError("weight LP data must be finite")
-        self._lp.col_cost_ = cost
-        self._lp.row_lower_ = rhs
-        self._lp.row_upper_ = rhs
-        h = _highs._Highs()
-        h.passOptions(self._options)
-        if (h.passModel(self._lp) == _highs.HighsStatus.kError or h.run() == _highs.HighsStatus.kError
-                or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
-            return None
-        sol = h.getSolution()
-        x = np.array(sol.col_value)
-        con = rhs - np.array(sol.row_value)
-        tol = self._TOL  # _check_result: no NaN, bounds and equalities within tol
-        if (np.isnan(x).any() or math.isnan(h.getInfo().objective_function_value) or np.isnan(con).any()
-                or not np.all((x >= -tol) & (x <= self._ub + tol)) or (np.abs(con) > tol).any()):
-            return None
-        return x
 
 
 def _tau_slope(tau: TransportCost, w, eps):

@@ -1,10 +1,12 @@
 """Kantorovich--Rubinstein distance on balanced atomic measures and the
 certified lower bound for the transport distance.
 
-The primal solver is an exact successive-shortest-path min-cost flow on
-the complete bipartite support graph; desk-scale supports keep this
-cheap and the bound certified.  A Lipschitz-potential LP dual (scipy)
-serves as the independent verification route.
+The primal route solves the balanced transport problem between the
+positive and negative parts of the difference as a transportation LP on
+the complete bipartite support graph, with HiGHS (``lp._SampleLP``).
+The Lipschitz-potential dual of the same problem, solved through
+``scipy.optimize.linprog``, serves as the verification route
+(``lid1_dual_lp``).
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .cost import TransportCost, rho
+from .lp import _SampleLP
 from .measures import AtomicMeasurePath, derivative_path, lp_time_norm
 
 BALANCE_TOL = 1e-9
@@ -59,74 +63,30 @@ def _merge_difference(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure):
 
 
 def _min_cost_transport(p_pts, p_mass, q_pts, q_mass) -> float:
-    """Exact balanced transport cost by successive shortest paths.
+    """Exact balanced transport cost, as a transportation LP on HiGHS.
 
-    Node potentials keep reduced costs nonnegative so Dijkstra stays
-    valid; each augmentation saturates a source or a sink, so the loop
-    terminates after at most len(p) + len(q) rounds.
+    The flow from source i to sink j is column i*l + j of the complete
+    bipartite incidence; its rows fix each source's supply and each
+    sink's demand.
     """
     m, l = len(p_mass), len(q_mass)
     if m == 0 or l == 0:
         return 0.0
     cost = np.linalg.norm(p_pts[:, None, :] - q_pts[None, :, :], axis=2)
-    flow = np.zeros((m, l))
-    supply = p_mass.copy()
-    demand = q_mass.copy()
-    total = float(supply.sum())
-    demand *= total / demand.sum()  # remove the residual imbalance exactly
-    pi = np.zeros(m + l)
-    eps = 1e-13 * max(total, 1.0)
-
-    while float(supply.sum()) > eps:
-        dist = np.full(m + l, np.inf)
-        parent = np.full(m + l, -1, dtype=int)
-        dist[:m][supply > eps] = 0.0
-        done = np.zeros(m + l, dtype=bool)
-        for _ in range(m + l):
-            cand = np.where(~done, dist, np.inf)
-            u = int(np.argmin(cand))
-            if not np.isfinite(cand[u]):
-                break
-            done[u] = True
-            if u < m:
-                rc = cost[u] + pi[u] - pi[m:]
-                np.clip(rc, 0.0, None, out=rc)
-                better = dist[u] + rc < dist[m:] - 1e-18
-                dist[m:][better] = dist[u] + rc[better]
-                parent[m:][better] = u
-            else:
-                j = u - m
-                has_flow = flow[:, j] > eps
-                if np.any(has_flow):
-                    rc = -cost[:, j] + pi[u] - pi[:m]
-                    np.clip(rc, 0.0, None, out=rc)
-                    better = has_flow & (dist[u] + rc < dist[:m] - 1e-18)
-                    dist[:m][better] = dist[u] + rc[better]
-                    parent[:m][better] = u
-        sinks = np.where((demand > eps) & np.isfinite(dist[m:]))[0]
-        if sinks.size == 0:
-            raise RuntimeError("transport solver failed to reach a deficit node")
-        t = int(sinks[np.argmin(dist[m:][sinks])]) + m
-        # trace the augmenting path back to a source with remaining supply
-        path = [t]
-        while parent[path[-1]] >= 0:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
-        amount = min(float(supply[path[0]]), float(demand[t - m]))
-        for a, b in zip(path, path[1:]):
-            if a < m:
-                continue
-            amount = min(amount, float(flow[b, a - m]))
-        for a, b in zip(path, path[1:]):
-            if a < m:
-                flow[a, b - m] += amount
-            else:
-                flow[b, a - m] -= amount
-        supply[path[0]] -= amount
-        demand[t - m] -= amount
-        shift = np.minimum(dist, dist[t])
-        pi += np.where(np.isfinite(shift), shift, 0.0)
-    return float(np.sum(flow * cost))
+    demand = q_mass * (p_mass.sum() / q_mass.sum())  # remove the residual imbalance exactly
+    rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)])
+    B = csc_array((np.ones(2 * m * l), rows.ravel(), np.arange(0, 2 * m * l + 1, 2)), shape=(m + l, m * l))
+    rhs = np.concatenate([p_mass, demand])
+    # HiGHS's primal and dual feasibility tolerances are absolute (1e-7): on unit-scale
+    # data it may leave a supply below 1e-7 unmoved, or stop at a plan up to 1e-7 per
+    # unit mass above the optimum.  Exact power-of-two scaling puts the largest cost and
+    # the largest mass in [2**19, 2**20), which shrinks both slacks to about 1e-13 of the
+    # largest value while rounding (about 2**-32) stays well inside the tolerances.
+    cost_exp, mass_exp = (20 - np.frexp(v.max())[1] for v in (cost, rhs))
+    x = _SampleLP(B, np.inf).solve(np.ldexp(cost.ravel(), cost_exp), np.ldexp(rhs, mass_exp))
+    if x is None:
+        raise RuntimeError("transport LP failed")
+    return float(np.ldexp(np.sum(x.reshape(m, l) * cost), -mass_exp))
 
 
 def lid1(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:

@@ -98,6 +98,16 @@ def test_rho_tabulated_grid_scan():
     assert rho(tau, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
+def test_rho_tabulated_exact_at_interior_breakpoint():
+    # the inf sits at the interior breakpoint w = 0.85463, which a uniform grid on [0.5, 1] misses
+    table = np.array([[0.0, 0.0], [0.06, 0.115], [0.85463, 1.0138], [0.9653, 1.1655], [1.125, 1.32]])
+    tau = tabulated_cost(table)
+    r = rho(tau, 1.0)
+    assert r == pytest.approx(1.0138 / 0.85463, abs=1e-15)
+    w = table[table[:, 0] <= 1.0, 0]  # the breakpoints in [0, m], where rho certifies
+    assert np.all(eval_cost(tau, w) >= r * w)
+
+
 @given(alpha=st.floats(0.05, 1.0), m=st.floats(0.01, 8.0))
 @settings(max_examples=80, deadline=None)
 def test_linear_lower_bound_property(alpha, m):

@@ -19,10 +19,10 @@ from branchflow import (
     power_cost,
 )
 from branchflow.graph import is_never_cyclic
+from branchflow.lp import _SampleLP
 from branchflow.optimize import (
     _boundary_matrix,
     _incidence,
-    _SampleLP,
     direct_topology,
     instance_connector_witness,
 )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchflow import (
@@ -87,6 +87,35 @@ def test_lid1_signed_balanced_inputs(seed):
     d = lid1(m1, m2)
     assert d >= 0.0
     assert d == pytest.approx(lid1(m2, m1), abs=1e-12)
+
+
+def _cdf_distance_1d(m1, m2):
+    """Sum of |F - G| dx over the merged support: the closed form on the line."""
+    x = np.concatenate([m1.points[:, 0], m2.points[:, 0]])
+    d = np.concatenate([m1.weights, -m2.weights])
+    order = np.argsort(x, kind="stable")
+    return float(np.sum(np.abs(np.cumsum(d[order])[:-1]) * np.diff(x[order])))
+
+
+_atoms_1d = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0)), min_size=1, max_size=12)
+
+
+@given(a=_atoms_1d, b=_atoms_1d, signed=st.booleans())
+@example(a=[(1.0, 1.0), (-0.5, 1.0)], b=[(0.0, 1.0), (1e-9, 1.0)], signed=False)  # plans 2e-9 apart
+@example(a=[(0.0, 1.0), (1.0, 0.5)], b=[(0.0, 1.0), (1.0, 0.50000001)], signed=False)  # 7e-9 to move
+@settings(max_examples=150, deadline=None)
+def test_lid1_matches_1d_closed_form(a, b, signed):
+    (x1, w1), (x2, w2) = (np.array(side).T for side in (a, b))
+    if signed:  # zero-total signed measures on both sides
+        w1, w2 = w1 - w1.mean(), w2 - w2.mean()
+    else:
+        w2 = w2 * (w1.sum() / w2.sum())
+    m1 = BalancedSignedMeasure(x1[:, None], w1)
+    m2 = BalancedSignedMeasure(x2[:, None], w2)
+    d = lid1(m1, m2)
+    # abs covers the atoms below ATOM_TOL that lid1 drops and the closed form keeps
+    assert d == pytest.approx(_cdf_distance_1d(m1, m2), rel=1e-12, abs=1e-13)
+    assert lid1(m1, m2).hex() == d.hex()
 
 
 def test_path_norm_identical_and_constant():
