@@ -9,6 +9,7 @@ graphs, bracketing the induced distance from both sides.
 from .cost import TransportCost, check_admissible, eval_cost, power_cost, rho, tabulated_cost
 from .measures import (
     AtomicMeasurePath,
+    DyadicLevelSpec,
     SignedAtomicPath,
     TimeGrid,
     derivative_path,
@@ -35,7 +36,6 @@ from .graph import (
     tv_norm,
 )
 from .dyadic import (
-    DyadicLevelSpec,
     band_flux,
     band_flux_bounds,
     connector,

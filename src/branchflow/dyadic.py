@@ -1,7 +1,8 @@
 """Multiscale flux constructions on the dyadic lattice.
 
-Conventions.  The level-k cells tile [x0 - 2s, x0 + 2s)^n (default root
-x0 = 0, base scale s = 1, giving [-2, 2)^n) with side s * 2**(2-k).
+Conventions.  The lattice is ``measures.DyadicLevelSpec``: level-k cells
+tile [x0 - 2s, x0 + 2s)^n (default root x0 = 0, base scale s = 1, giving
+[-2, 2)^n) with side s * 2**(2-k).
 Layer j carries edges from level-j cell centers to the centers of their
 2^n child cells, weighted by the child-cell mass trajectory, so mass
 flows coarse to fine.  A band over layers k..l-1 is therefore a
@@ -13,54 +14,21 @@ such trees back to back across a short bridge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import TransportCost
-from .graph import TransportGraph, graph_from_paths, merge_graphs, prune_zero_edges
-from .measures import AtomicMeasurePath, dyadic_project, sobolev_seminorm
-
-
-@dataclass(frozen=True)
-class DyadicLevelSpec:
-    """Root and base scale of the lattice; defaults give [-2, 2)^n."""
-
-    root: np.ndarray | float = 0.0
-    scale: float = 1.0
-
-    def origin(self, n: int) -> np.ndarray:
-        r = np.asarray(self.root, dtype=float)
-        if r.ndim == 0:
-            return np.full(n, float(r))
-        return r
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("base scale must be positive")
-
-
-STANDARD = DyadicLevelSpec()
-
-
-def _cell_side(k: int, spec: DyadicLevelSpec) -> float:
-    return spec.scale * 2.0 ** (2 - k)
-
-
-def _cell_index(points: np.ndarray, k: int, spec: DyadicLevelSpec) -> np.ndarray:
-    n = points.shape[1]
-    lo = spec.origin(n) - 2.0 * spec.scale
-    h = _cell_side(k, spec)
-    idx = np.floor((points - lo) / h).astype(int)
-    if np.any(idx < 0) or np.any(idx >= 2**k):
-        raise ValueError("support escapes the dyadic cell")
-    return idx
-
-
-def _cell_center(idx, k: int, spec: DyadicLevelSpec, n: int) -> np.ndarray:
-    lo = spec.origin(n) - 2.0 * spec.scale
-    h = _cell_side(k, spec)
-    return lo + h * (np.asarray(idx, dtype=float) + 0.5)
+from .graph import TransportGraph, graph_from_paths, prune_zero_edges
+from .measures import (
+    STANDARD,
+    AtomicMeasurePath,
+    DyadicLevelSpec,
+    _bucket,
+    cell_center,
+    cell_index,
+    dyadic_project,
+    sobolev_seminorm,
+)
 
 
 def _elementary_edges(mu: AtomicMeasurePath, s: float, x: np.ndarray):
@@ -74,9 +42,8 @@ def _elementary_edges(mu: AtomicMeasurePath, s: float, x: np.ndarray):
         key = np.array([(flat >> d) & 1 for d in range(n)])
         center = lo + 2.0 * s * (key + 0.5)
         mask = inside & np.all(rel == key, axis=1)
-        w = mu.weights[mask].sum(axis=0) if np.any(mask) else np.zeros(mu.grid.n_samples)
         edges.append((x.copy(), center))
-        rows.append(w)
+        rows.append(mu.weights[mask].sum(axis=0))
     return edges, rows
 
 
@@ -88,7 +55,7 @@ def elementary_flux(mu: AtomicMeasurePath, s: float, x) -> TransportGraph:
     """
     n = mu.dimension
     x = np.asarray(x, dtype=float) if np.ndim(x) else np.full(n, float(x))
-    _cell_index(mu.points, 1, DyadicLevelSpec(root=x, scale=s))  # raises if support escapes
+    cell_index(mu.points, 1, DyadicLevelSpec(root=x, scale=s))  # raises if support escapes
     edges, rows = _elementary_edges(mu, s, x)
     return graph_from_paths(None, edges, np.array(rows), mu.grid)
 
@@ -102,9 +69,7 @@ def recursive_flux(mu: AtomicMeasurePath, k: int, spec: DyadicLevelSpec = STANDA
     """
     if k < 1:
         raise ValueError("depth must be >= 1")
-    n = mu.dimension
-    x0 = spec.origin(n)
-    _cell_index(mu.points, 1, spec)  # top-level support check
+    cell_index(mu.points, 1, spec)  # top-level support check
     edges, rows = [], []
 
     def recurse(s, x, depth):
@@ -112,43 +77,40 @@ def recursive_flux(mu: AtomicMeasurePath, k: int, spec: DyadicLevelSpec = STANDA
         edges.extend(e)
         rows.extend(r)
         if depth > 1:
-            for flat in range(2**n):
-                v = np.array([s if (flat >> d) & 1 else -s for d in range(n)])
-                recurse(s / 2.0, x + v, depth - 1)
+            for _, child in e:  # the child is its parent's edge head, so the vertices coincide
+                recurse(s / 2.0, child, depth - 1)
 
-    recurse(spec.scale, x0, k)
+    recurse(spec.scale, spec.origin(mu.dimension), k)
     return graph_from_paths(None, edges, np.array(rows), mu.grid)
 
 
-def _layer_edges(mu: AtomicMeasurePath, j: int, spec: DyadicLevelSpec):
-    """Edges of layer j: level-j centers to occupied level-(j+1) child centers."""
-    n = mu.dimension
-    child_idx = _cell_index(mu.points, j + 1, spec)
-    buckets: dict[tuple, np.ndarray] = {}
-    for i, key in enumerate(map(tuple, child_idx)):
-        if key in buckets:
-            buckets[key] = buckets[key] + mu.weights[i]
-        else:
-            buckets[key] = mu.weights[i].copy()
-    edges, rows = [], []
-    for key in sorted(buckets):
-        w = buckets[key]
-        if not np.any(w > 0):
-            continue
-        child = _cell_center(np.array(key), j + 1, spec, n)
-        parent = _cell_center(np.array(key) // 2, j, spec, n)
-        edges.append((parent, child))
-        rows.append(w)
-    return edges, rows
+def _band_edges(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec):
+    """Tails, heads and weight rows of layers k..l-1.
 
-
-def _band_graph(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec) -> TransportGraph:
-    edges, rows = [], []
+    Layer j joins each level-j center to its occupied level-(j+1) child
+    centers, weighted by the child-cell mass.
+    """
+    tails, heads, rows = [], [], []
     for j in range(k, ell):
-        e, r = _layer_edges(mu, j, spec)
-        edges.extend(e)
-        rows.extend(r)
-    return graph_from_paths(None, edges, np.array(rows), mu.grid)
+        keys, sums = _bucket(cell_index(mu.points, j + 1, spec), mu.weights)
+        keep = np.any(sums > 0, axis=1)
+        tails.append(cell_center(keys[keep] // 2, j, spec))
+        heads.append(cell_center(keys[keep], j + 1, spec))
+        rows.append(sums[keep])
+    return np.concatenate(tails), np.concatenate(heads), np.concatenate(rows)
+
+
+def _tree_edges(mu: AtomicMeasurePath, k: int, reverse: bool, shift=0.0):
+    """Edge list and weight rows of mu's depth-k tree (layers 0..k-1).
+
+    Edges point coarse to fine, or fine to coarse when ``reverse``; every
+    vertex is translated by ``shift``.
+    """
+    tails, heads, rows = _band_edges(mu, 0, k, STANDARD)
+    tails, heads = tails + shift, heads + shift
+    if reverse:
+        tails, heads = heads, tails
+    return list(zip(tails, heads)), list(rows)
 
 
 def band_flux(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec = STANDARD) -> TransportGraph:
@@ -161,7 +123,8 @@ def band_flux(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec = S
     """
     if not 1 <= k < ell:
         raise ValueError("levels must satisfy 1 <= k < l")
-    return _band_graph(mu, k, ell, spec)
+    tails, heads, rows = _band_edges(mu, k, ell, spec)
+    return graph_from_paths(None, zip(tails, heads), rows, mu.grid)
 
 
 def band_flux_bounds(k: int, ell: int, n: int, beta: TransportCost,
@@ -219,31 +182,13 @@ def connector(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k: int):
     if mu_plus.grid.n_samples != mu_minus.grid.n_samples:
         raise ValueError("time grids do not match")
     n = mu_plus.dimension
-    grid = mu_plus.grid
     shift = np.zeros(n)
     shift[0] = 2.0 ** (-k)
-
-    tree_plus = _band_graph(mu_plus, 0, k, STANDARD)
-
-    tree_minus = _band_graph(mu_minus, 0, k, STANDARD)
-    rev_edges = []
-    rev_rows = []
-    for e in range(tree_minus.n_edges):
-        tail = tree_minus.vertices[tree_minus.edges[e, 1]] + shift
-        head = tree_minus.vertices[tree_minus.edges[e, 0]] + shift
-        rev_edges.append((tail, head))
-        rev_rows.append(tree_minus.weights[e])
-
-    bridge_edges = [(shift, np.zeros(n))]
-    bridge_rows = [np.ones(grid.n_samples)]
-
-    pieces = []
-    if tree_plus.n_edges:
-        pieces.append(tree_plus)
-    if rev_edges:
-        pieces.append(graph_from_paths(None, rev_edges, np.array(rev_rows), grid))
-    pieces.append(graph_from_paths(None, bridge_edges, np.array(bridge_rows), grid))
-    G = prune_zero_edges(merge_graphs(grid, *pieces))
+    plus_edges, plus_rows = _tree_edges(mu_plus, k, reverse=False)
+    minus_edges, minus_rows = _tree_edges(mu_minus, k, reverse=True, shift=shift)
+    edges = plus_edges + minus_edges + [(shift, np.zeros(n))]
+    rows = plus_rows + minus_rows + [np.ones(mu_plus.grid.n_samples)]
+    G = prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
 
     a_minus_k = dyadic_project(mu_plus, k)
     a_plus_k = dyadic_project(mu_minus, k).shifted(shift)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .measures import AtomicMeasurePath, TimeGrid, lp_time_norm
+from .measures import AtomicMeasurePath, TimeGrid, lp_time_norm, time_derivative
 
 DEFAULT_CYCLE_CAP = 10
 
@@ -38,7 +38,11 @@ def _freeze(arr, dtype=float):
 
 @dataclass(frozen=True)
 class TransportGraph:
-    """Directed geometric graph with one nonnegative trajectory per edge."""
+    """Directed geometric graph with one trajectory per edge.
+
+    Transport paths carry nonnegative weights; ``derivative_graph`` returns
+    the same topology carrying the signed time derivative.
+    """
 
     vertices: np.ndarray  # (V, n)
     edges: np.ndarray  # (E, 2) int, (tail, head)
@@ -69,21 +73,6 @@ class TransportGraph:
 
     def with_weights(self, weights) -> "TransportGraph":
         return TransportGraph(self.vertices, self.edges, weights, self.grid)
-
-
-@dataclass(frozen=True)
-class SignedTransportGraph:
-    """Derivative of a transport graph: same topology, signed weights."""
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    weights: np.ndarray
-    grid: TimeGrid
-
-    @property
-    def lengths(self) -> np.ndarray:
-        diff = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return np.linalg.norm(diff, axis=1)
 
 
 def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
@@ -151,8 +140,25 @@ def _support_indices(G: TransportGraph, path: AtomicMeasurePath) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
+def _incidence(G: TransportGraph) -> np.ndarray:
+    """(V, E) incidence matrix B: +1 at each edge's head, -1 at its tail."""
+    B = np.zeros((G.vertices.shape[0], G.n_edges))
+    cols = np.arange(G.n_edges)
+    B[G.edges[:, 1], cols] = 1.0
+    B[G.edges[:, 0], cols] -= 1.0
+    return B
+
+
+def _boundary_matrix(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath) -> np.ndarray:
+    """(V, N) right-hand side b of the balance B W = b: sink minus source mass."""
+    b = np.zeros((G.vertices.shape[0], G.grid.n_samples))
+    np.subtract.at(b, _support_indices(G, a_plus), a_plus.weights)
+    np.add.at(b, _support_indices(G, a_minus), a_minus.weights)
+    return b
+
+
 def kirchhoff_residual(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath) -> float:
-    """Worst mass-balance violation over vertices and samples.
+    """Worst mass-balance violation max |B W - b| over vertices and samples.
 
     At each vertex and sample, source mass plus transport inflow must
     equal sink mass plus transport outflow; the return value is the max
@@ -161,15 +167,7 @@ def kirchhoff_residual(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: At
     """
     if a_plus.grid.n_samples != G.grid.n_samples or a_minus.grid.n_samples != G.grid.n_samples:
         raise ValueError("time grids do not match")
-    nv, ns = G.vertices.shape[0], G.grid.n_samples
-    balance = np.zeros((nv, ns))
-    ip = _support_indices(G, a_plus)
-    im = _support_indices(G, a_minus)
-    np.add.at(balance, ip, a_plus.weights)
-    np.subtract.at(balance, im, a_minus.weights)
-    if G.n_edges:
-        np.add.at(balance, G.edges[:, 1], G.weights)  # inflow at head
-        np.subtract.at(balance, G.edges[:, 0], G.weights)  # outflow at tail
+    balance = _incidence(G) @ G.weights - _boundary_matrix(G, a_plus, a_minus)
     return float(np.max(np.abs(balance))) if balance.size else 0.0
 
 
@@ -192,17 +190,15 @@ def tv_norm(G: TransportGraph, j: int) -> float:
     return float(sum(abs(v) * lens[k] for k, v in classes.items()))
 
 
-def _tau_mass_series(G: TransportGraph, tau) -> np.ndarray:
+def _tau_mass_series(lengths: np.ndarray, W: np.ndarray, tau) -> np.ndarray:
     """Per-sample cost-weighted total edge mass (per edge, unmerged)."""
-    if G.n_edges == 0:
-        return np.zeros(G.grid.n_samples)
-    return G.lengths @ np.asarray(tau(G.weights), dtype=float)
+    return lengths @ np.asarray(tau(W), dtype=float)
 
 
 def m_tau_p(G: TransportGraph, tau, p) -> float:
     """Discrete L^p-in-time norm of sum_e tau(w(e, t)) * length(e)."""
     _check_p(p)
-    return lp_time_norm(_tau_mass_series(G, tau), p, G.grid.n_samples)
+    return lp_time_norm(_tau_mass_series(G.lengths, G.weights, tau), p)
 
 
 def _check_p(p):
@@ -210,24 +206,20 @@ def _check_p(p):
         raise ValueError("p must lie in (1, inf]")
 
 
-def derivative_graph(G: TransportGraph) -> SignedTransportGraph:
-    """Periodic forward differences of the weight trajectories."""
-    n = G.grid.n_samples
-    dw = n * (np.roll(G.weights, -1, axis=1) - G.weights)
-    return SignedTransportGraph(G.vertices, G.edges, dw, G.grid)
+def derivative_graph(G: TransportGraph) -> TransportGraph:
+    """Same topology carrying the signed time derivative of the weight trajectories."""
+    return G.with_weights(time_derivative(G.weights))
 
 
-def _derivative_series(G: TransportGraph) -> np.ndarray:
-    if G.n_edges == 0:
-        return np.zeros(G.grid.n_samples)
-    dG = derivative_graph(G)
-    return G.lengths @ np.abs(dG.weights)
+def _derivative_series(lengths: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Per-sample sum_e |w'(e, t)| * length(e)."""
+    return lengths @ np.abs(time_derivative(W))
 
 
 def derivative_lp_norm(G: TransportGraph, p) -> float:
     """L^p norm over samples of sum_e |w'(e, t)| * length(e)."""
     _check_p(p)
-    return lp_time_norm(_derivative_series(G), p, G.grid.n_samples)
+    return lp_time_norm(_derivative_series(G.lengths, G.weights), p)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +308,16 @@ class EnergyReport:
 def _bracket(G: TransportGraph, order, cycles, p) -> float:
     """Derivative norm of the residual plus the extracted cycle components."""
     dec = decompose(G, order, cycles)
-    n = G.grid.n_samples
-    resid_d = n * (np.roll(dec.residual, -1, axis=1) - dec.residual)
-    series = G.lengths @ np.abs(resid_d) if G.n_edges else np.zeros(n)
-    total = lp_time_norm(series, p, n)
     lengths = G.lengths
+    total = lp_time_norm(_derivative_series(lengths, dec.residual), p)
     for slot, ci in enumerate(dec.order):
         cyclen = float(lengths[list(cycles[ci])].sum())
-        wd = n * (np.roll(dec.extracted[slot], -1) - dec.extracted[slot])
-        total += lp_time_norm(np.abs(wd) * cyclen, p, n)
+        total += lp_time_norm(np.abs(time_derivative(dec.extracted[slot])) * cyclen, p)
     return total
 
 
 def _greedy_order(G: TransportGraph, cycles, p) -> tuple[int, ...]:
     """Extract the cycle with the largest derivative contribution first."""
-    n = G.grid.n_samples
     lengths = G.lengths
     remaining = G.weights.copy()
     left = set(range(len(cycles)))
@@ -340,8 +327,7 @@ def _greedy_order(G: TransportGraph, cycles, p) -> tuple[int, ...]:
         for ci in sorted(left):
             rows = list(cycles[ci])
             w = remaining[rows].min(axis=0)
-            wd = n * (np.roll(w, -1) - w)
-            val = lp_time_norm(np.abs(wd) * float(lengths[rows].sum()), p, n)
+            val = lp_time_norm(np.abs(time_derivative(w)) * float(lengths[rows].sum()), p)
             if val > best_val:
                 best, best_val = ci, val
         order.append(best)

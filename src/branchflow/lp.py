@@ -58,7 +58,7 @@ class _SampleLP:
     def solve(self, cost, rhs):
         """Optimal x for one sample, or None where linprog reports failure."""
         if not (np.isfinite(cost).all() and np.isfinite(rhs).all()):  # linprog raises here too
-            raise ValueError("weight LP data must be finite")
+            raise ValueError("LP cost and right-hand side must be finite")
         self._lp.col_cost_ = cost
         self._lp.row_lower_ = rhs
         self._lp.row_upper_ = rhs

@@ -1,10 +1,12 @@
 """Periodic time-sampled atomic measure paths and their multiscale projections.
 
 Weights live on a uniform periodic grid t_j = j/N.  All measure paths keep
-their support points fixed in time; only the weights move.  The dyadic
-machinery tiles the half-open box [-2, 2)^n with level-k cells of side
-2**(2-k); instances are expected to live well inside [-1, 1)^n so the
-per-level cube counts match the certified energy bounds.
+their support points fixed in time; only the weights move, and
+``time_derivative`` is their periodic forward difference.  The dyadic
+lattice (``DyadicLevelSpec``) tiles the half-open box [x0 - 2s, x0 + 2s)^n
+with level-k cells of side s * 2**(2-k); the standard lattice (x0 = 0,
+s = 1) tiles [-2, 2)^n, and instances are expected to live well inside
+[-1, 1)^n so the per-level cube counts match the certified energy bounds.
 """
 
 from __future__ import annotations
@@ -115,18 +117,19 @@ def make_atomic_path(points, weight_table, grid: TimeGrid) -> AtomicMeasurePath:
     return AtomicMeasurePath(pts, w / totals, grid)
 
 
+def time_derivative(weights: np.ndarray) -> np.ndarray:
+    """Periodic forward difference N * (w(t_{j+1}) - w(t_j)) along the last (time) axis."""
+    return weights.shape[-1] * (np.roll(weights, -1, axis=-1) - weights)
+
+
 def derivative_path(a: AtomicMeasurePath) -> SignedAtomicPath:
-    """Periodic forward difference: nu_i(t_j) = N * (a_i(t_{j+1}) - a_i(t_j))."""
-    n = a.grid.n_samples
-    nu = n * (np.roll(a.weights, -1, axis=1) - a.weights)
-    return SignedAtomicPath(a.points, nu, a.grid)
+    """Time derivative of the weights: nu_i(t_j) = N * (a_i(t_{j+1}) - a_i(t_j))."""
+    return SignedAtomicPath(a.points, time_derivative(a.weights), a.grid)
 
 
-def lp_time_norm(values, p, n_samples: int | None = None) -> float:
+def lp_time_norm(values, p) -> float:
     """Discrete L^p-in-time norm (left endpoint rule); max for p = inf."""
     vals = np.asarray(values, dtype=float)
-    if n_samples is None:
-        n_samples = vals.shape[-1]
     if math.isinf(p):
         return float(np.max(np.abs(vals))) if vals.size else 0.0
     return float((np.mean(np.abs(vals) ** p)) ** (1.0 / p))
@@ -138,46 +141,67 @@ def sobolev_seminorm(a: AtomicMeasurePath, p) -> float:
         raise ValueError("seminorm requires p > 1")
     nu = derivative_path(a)
     tv = np.abs(nu.weights).sum(axis=0)
-    return lp_time_norm(tv, p, a.grid.n_samples)
+    return lp_time_norm(tv, p)
 
 
 # ---------------------------------------------------------------------------
 # dyadic cells
 # ---------------------------------------------------------------------------
 
-def cell_side(k: int) -> float:
-    """Side length of a level-k cell tiling [-2, 2)^n."""
-    return 2.0 ** (2 - k)
+@dataclass(frozen=True)
+class DyadicLevelSpec:
+    """Root and base scale of the lattice; defaults give [-2, 2)^n."""
+
+    root: np.ndarray | float = 0.0
+    scale: float = 1.0
+
+    def origin(self, n: int) -> np.ndarray:
+        r = np.asarray(self.root, dtype=float)
+        if r.ndim == 0:
+            return np.full(n, float(r))
+        return r
+
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ValueError("base scale must be positive")
 
 
-def cell_index(points: np.ndarray, k: int) -> np.ndarray:
+STANDARD = DyadicLevelSpec()
+
+
+def cell_side(k: int, spec: DyadicLevelSpec = STANDARD) -> float:
+    """Side length of a level-k cell."""
+    return spec.scale * 2.0 ** (2 - k)
+
+
+def cell_index(points: np.ndarray, k: int, spec: DyadicLevelSpec = STANDARD) -> np.ndarray:
     """Integer cell index per axis for each point; cells are half open."""
-    h = cell_side(k)
-    idx = np.floor((points - DOMAIN_LO) / h).astype(int)
+    lo = spec.origin(points.shape[1]) - 2.0 * spec.scale
+    idx = np.floor((points - lo) / cell_side(k, spec)).astype(int)
     if np.any(idx < 0) or np.any(idx >= 2**k):
-        raise ValueError("point outside [-2, 2)^n")
+        raise ValueError("support escapes the level-0 dyadic cell")
     return idx
 
 
-def cell_center(idx: np.ndarray, k: int) -> np.ndarray:
-    h = cell_side(k)
-    return DOMAIN_LO + h * (np.asarray(idx, dtype=float) + 0.5)
+def cell_center(idx, k: int, spec: DyadicLevelSpec = STANDARD) -> np.ndarray:
+    """Center of the level-k cell with the given index (or of each row of indices)."""
+    idx = np.asarray(idx, dtype=float)
+    lo = spec.origin(idx.shape[-1]) - 2.0 * spec.scale
+    return lo + cell_side(k, spec) * (idx + 0.5)
+
+
+def _bucket(keys, rows):
+    """Sum ``rows`` over equal ``keys`` rows: (distinct keys in lexicographic order, sums)."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq),) + rows.shape[1:])
+    np.add.at(sums, inverse.ravel(), rows)
+    return uniq, sums
 
 
 def _aggregate(points, weights, k):
     """Sum weight rows by level-k cell; returns (centers, table) sorted."""
-    idx = cell_index(points, k)
-    buckets: dict[tuple, np.ndarray] = {}
-    for i, key in enumerate(map(tuple, idx)):
-        if key in buckets:
-            buckets[key] = buckets[key] + weights[i]
-        else:
-            buckets[key] = weights[i].copy()
-    keys = sorted(buckets)
-    centers = np.array([cell_center(np.array(key), k) for key in keys])
-    table = np.array([buckets[key] for key in keys])
-    keep = np.any(table > 0, axis=1)
-    return centers[keep], table[keep]
+    keys, table = _bucket(cell_index(points, k), weights)
+    return cell_center(keys, k), table
 
 
 def dyadic_project(a: AtomicMeasurePath, k: int) -> AtomicMeasurePath:
@@ -185,18 +209,13 @@ def dyadic_project(a: AtomicMeasurePath, k: int) -> AtomicMeasurePath:
     if k < 1:
         raise ValueError("projection level must be >= 1")
     centers, table = _aggregate(a.points, a.weights, k)
-    return AtomicMeasurePath(centers, table, a.grid)
+    keep = np.any(table > 0, axis=1)
+    return AtomicMeasurePath(centers[keep], table[keep], a.grid)
 
 
 def dyadic_project_signed(nu: SignedAtomicPath, k: int) -> SignedAtomicPath:
     """Same aggregation for signed paths (used to check commutation)."""
-    idx = cell_index(nu.points, k)
-    buckets: dict[tuple, np.ndarray] = {}
-    for i, key in enumerate(map(tuple, idx)):
-        buckets[key] = buckets.get(key, 0.0) + nu.weights[i]
-    keys = sorted(buckets)
-    centers = np.array([cell_center(np.array(key), k) for key in keys])
-    table = np.array([buckets[key] for key in keys])
+    centers, table = _aggregate(nu.points, nu.weights, k)
     return SignedAtomicPath(centers, table, nu.grid)
 
 
@@ -280,7 +299,7 @@ def mollified_dyadic_project(a: AtomicMeasurePath, k: int, eps: float):
         raise ValueError("eps-ball of a support point escapes [-2, 2)^n")
     n = a.dimension
     h = cell_side(k)
-    buckets: dict[tuple, np.ndarray] = {}
+    keys, rows = [], []
     for i in range(a.n_atoms):
         x = a.points[i]
         lo_idx = np.floor((x - eps - DOMAIN_LO) / h).astype(int)
@@ -294,16 +313,11 @@ def mollified_dyadic_project(a: AtomicMeasurePath, k: int, eps: float):
             mass = _box_integral(box_lo, box_hi, x, eps, n)
             if mass <= 0.0:
                 continue
-            contrib = mass * a.weights[i]
-            if key in buckets:
-                buckets[key] = buckets[key] + contrib
-            else:
-                buckets[key] = contrib
-    keys = sorted(buckets)
-    centers = np.array([cell_center(np.array(key), k) for key in keys])
-    table = np.array([buckets[key] for key in keys])
+            keys.append(key)
+            rows.append(mass * a.weights[i])
+    keys, table = _bucket(np.array(keys), np.array(rows))
     keep = np.any(table > 0, axis=1)
-    centers, table = centers[keep], table[keep]
+    centers, table = cell_center(keys[keep], k), table[keep]
     totals = table.sum(axis=0)
     factors = 1.0 / totals
     return AtomicMeasurePath(centers, table * factors, a.grid), factors

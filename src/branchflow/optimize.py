@@ -24,10 +24,14 @@ from scipy.optimize import linprog  # noqa: F401  no longer called; bench/tracin
 
 from . import wasserstein
 from .cost import TransportCost, check_admissible
-from .dyadic import _band_graph, _cell_center, _cell_index, STANDARD, connector
+from .dyadic import _tree_edges, connector
 from .graph import (
     CycleExplosionError,
     TransportGraph,
+    _boundary_matrix,
+    _derivative_series,
+    _incidence,
+    _tau_mass_series,
     cancel_antiparallel,
     empty_graph,
     energy,
@@ -40,7 +44,9 @@ from .graph import (
     strip_strong_cycles,
 )
 from .lp import _SampleLP
-from .measures import AtomicMeasurePath, derivative_path, lp_time_norm
+from .measures import AtomicMeasurePath, cell_center, cell_index, derivative_path, lp_time_norm, time_derivative
+
+SEARCH_CYCLE_CAP = 512  # cycle cap for the search's candidates and its final witness
 
 
 @dataclass(frozen=True)
@@ -57,14 +63,13 @@ class OptimizerConfig:
     eps_tau: float = 1e-6
     sweeps: int = 5
     multi_start: int = 2
-    cycle_cap: int = 10
     stall_limit: int = 50
     weight_bound: float = 2.0
 
     def __post_init__(self):
         for name in ("k_max", "steiner_budget", "iterations", "perturbation", "seed",
                      "subgradient_steps", "step_size", "eps_tau", "sweeps",
-                     "multi_start", "cycle_cap", "stall_limit", "weight_bound"):
+                     "multi_start", "stall_limit", "weight_bound"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name} must be nonnegative")
 
@@ -94,28 +99,6 @@ class DistanceReport:
 # weight optimization on a fixed topology
 # ---------------------------------------------------------------------------
 
-def _incidence(G: TransportGraph) -> np.ndarray:
-    nv = G.vertices.shape[0]
-    B = np.zeros((nv, G.n_edges))
-    for e, (t, h) in enumerate(G.edges):
-        B[h, e] += 1.0
-        B[t, e] -= 1.0
-    return B
-
-
-def _boundary_matrix(G: TransportGraph, a_plus, a_minus) -> np.ndarray:
-    """(V, N) right-hand side: sink minus source mass at each vertex."""
-    lookup = {tuple(v): i for i, v in enumerate(G.vertices)}
-    b = np.zeros((G.vertices.shape[0], G.grid.n_samples))
-    for path, sign in ((a_plus, -1.0), (a_minus, 1.0)):
-        for p, row in zip(path.points, path.weights):
-            key = tuple(p)
-            if key not in lookup:
-                raise ValueError(f"boundary point {key} is not a vertex of the topology")
-            b[lookup[key]] += sign * row
-    return b
-
-
 def _tau_slope(tau: TransportCost, w, eps):
     s = np.maximum(w, eps)
     if tau.kind == "power":
@@ -126,19 +109,17 @@ def _tau_slope(tau: TransportCost, w, eps):
     return np.where(s >= xs[-1], 0.0, slopes)
 
 
-def _objective(lengths, W, tau, p, lam, n):
+def _objective(lengths, W, tau, p, lam):
     """Energy of a strong-cycle-free assignment: mass plus plain derivative term."""
-    mass = lp_time_norm(lengths @ np.asarray(tau(W), dtype=float), p, n) if len(lengths) else 0.0
-    dW = n * (np.roll(W, -1, axis=1) - W)
-    deriv = lp_time_norm(lengths @ np.abs(dW), p, n) if len(lengths) else 0.0
-    return mass + lam * deriv
+    mass = lp_time_norm(_tau_mass_series(lengths, W, tau), p)
+    return mass + lam * lp_time_norm(_derivative_series(lengths, W), p)
 
 
 def _derivative_subgradient(lengths, W, p_eff, n):
     """Gradient of the derivative term, derivative magnitudes linearized."""
-    dW = n * (np.roll(W, -1, axis=1) - W)
+    dW = time_derivative(W)
     series = lengths @ np.abs(dW)
-    norm = lp_time_norm(series, p_eff, n)
+    norm = lp_time_norm(series, p_eff)
     if norm <= 1e-15:
         return np.zeros_like(W)
     scale = (series ** (p_eff - 1.0)) * norm ** (1.0 - p_eff) / n
@@ -147,8 +128,8 @@ def _derivative_subgradient(lengths, W, p_eff, n):
 
 
 def _mass_scales(lengths, W, tau, p_eff, n):
-    series = lengths @ np.asarray(tau(W), dtype=float)
-    norm = lp_time_norm(series, p_eff, n)
+    series = _tau_mass_series(lengths, W, tau)
+    norm = lp_time_norm(series, p_eff)
     if norm <= 1e-15:
         return np.full(n, 1.0 / n)
     return (series ** (p_eff - 1.0)) * norm ** (1.0 - p_eff) / n
@@ -198,7 +179,7 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
 
     def consider(W):
         nonlocal best_W, best_val
-        val = _objective(lengths, W, tau, p, lam, n)
+        val = _objective(lengths, W, tau, p, lam)
         if val < best_val - 1e-15:
             best_val = val
             best_W = W.copy()
@@ -258,19 +239,15 @@ def baseline_upper(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     return report.total, G
 
 
-def _gather_edges(path: AtomicMeasurePath, k: int, reverse: bool, shift=None):
-    """Edges between atoms and their level-k cell centers (skipping coincidences)."""
+def _gather_edges(path: AtomicMeasurePath, k: int, reverse: bool, shift=0.0):
+    """Edges between atoms and their (shifted) level-k cell centers, skipping coincidences."""
     edges, rows = [], []
-    idx = _cell_index(path.points, k, STANDARD)
-    for i in range(path.n_atoms):
-        center = _cell_center(idx[i], k, STANDARD, path.dimension)
-        if shift is not None:
-            center = center + shift
-        atom = path.points[i]
+    centers = cell_center(cell_index(path.points, k), k) + shift
+    for center, atom, row in zip(centers, path.points, path.weights):
         if np.array_equal(center, atom):
             continue
         edges.append((center, atom) if reverse else (atom, center))
-        rows.append(path.weights[i])
+        rows.append(row)
     return edges, rows
 
 
@@ -280,33 +257,20 @@ def instance_connector_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasu
 
     Atoms of mu_plus gather into their level-k centers, flow up the
     reversed tree to the root, cross a short bridge, descend the shifted
-    mu_minus tree, and scatter back onto the mu_minus atoms.
+    mu_minus tree, and scatter from the shifted centers onto the mu_minus
+    atoms.
     """
     n = mu_plus.dimension
-    grid = mu_plus.grid
     shift = np.zeros(n)
     shift[0] = 2.0 ** (-k)
-
-    edges, rows = [], []
-    e1, r1 = _gather_edges(mu_plus, k, reverse=False)
-    edges += e1
-    rows += r1
-    tree_plus = _band_graph(mu_plus, 0, k, STANDARD)
-    for e in range(tree_plus.n_edges):  # reversed: fine to coarse
-        edges.append((tree_plus.vertices[tree_plus.edges[e, 1]], tree_plus.vertices[tree_plus.edges[e, 0]]))
-        rows.append(tree_plus.weights[e])
-    edges.append((np.zeros(n), shift))
-    rows.append(np.ones(grid.n_samples))
-    tree_minus = _band_graph(mu_minus, 0, k, STANDARD)
-    for e in range(tree_minus.n_edges):  # forward, shifted
-        edges.append((tree_minus.vertices[tree_minus.edges[e, 0]] + shift,
-                      tree_minus.vertices[tree_minus.edges[e, 1]] + shift))
-        rows.append(tree_minus.weights[e])
-    e2, r2 = _gather_edges(mu_minus, k, reverse=True, shift=shift)
-    edges += e2
-    rows += r2
-    # the shifted tree ends at shifted centers; scatter edges drop the shift
-    return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), grid))
+    edges, rows = _gather_edges(mu_plus, k, reverse=False)
+    for piece_edges, piece_rows in (_tree_edges(mu_plus, k, reverse=True),
+                                    ([(np.zeros(n), shift)], [np.ones(mu_plus.grid.n_samples)]),
+                                    _tree_edges(mu_minus, k, reverse=False, shift=shift),
+                                    _gather_edges(mu_minus, k, reverse=True, shift=shift)):
+        edges += piece_edges
+        rows += piece_rows
+    return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
 
 
 def direct_topology(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
@@ -360,10 +324,10 @@ def _evaluate(G, a_plus, a_minus, tau, p, lam, cfg):
     tuned = optimize_weights(G, a_plus, a_minus, tau, p, lam, cfg)
     try:
         cleaned = strip_strong_cycles(prune_zero_edges(tuned, tol=1e-13), p,
-                                      cycle_cap=max(cfg.cycle_cap, 512))
+                                      cycle_cap=SEARCH_CYCLE_CAP)
     except CycleExplosionError:
         return math.inf, tuned
-    val = _objective(cleaned.lengths, cleaned.weights, tau, p, lam, cleaned.grid.n_samples)
+    val = _objective(cleaned.lengths, cleaned.weights, tau, p, lam)
     return val, cleaned
 
 
@@ -453,10 +417,10 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
             patch.grid,
         )
         witness = cancel_antiparallel(merge_graphs(witness.grid, witness, reversed_patch))
-        if not is_never_cyclic(witness, cap=max(cfg.cycle_cap, 512)):
-            witness = strip_strong_cycles(witness, p, cycle_cap=max(cfg.cycle_cap, 512))
+        if not is_never_cyclic(witness, cap=SEARCH_CYCLE_CAP):
+            witness = strip_strong_cycles(witness, p, cycle_cap=SEARCH_CYCLE_CAP)
     if witness.n_edges:
-        upper = energy(witness, tau, p, lam, cycle_cap=max(cfg.cycle_cap, 512)).total
+        upper = energy(witness, tau, p, lam, cycle_cap=SEARCH_CYCLE_CAP).total
     else:
         upper = 0.0
     return DistanceReport(lower, upper, witness, baselines, iterations, upper - lower)

@@ -19,7 +19,7 @@ from scipy.sparse import csc_array
 
 from .cost import TransportCost, rho
 from .lp import _SampleLP
-from .measures import AtomicMeasurePath, derivative_path, lp_time_norm
+from .measures import AtomicMeasurePath, _bucket, derivative_path, lp_time_norm
 
 BALANCE_TOL = 1e-9
 ATOM_TOL = 1e-14
@@ -47,19 +47,9 @@ def measure_at(path, j: int) -> BalancedSignedMeasure:
 
 def _merge_difference(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure):
     """Atoms of m1 - m2, merged by exact location, tiny weights dropped."""
-    acc: dict[tuple, float] = {}
-    for pts, w, sign in ((m1.points, m1.weights, 1.0), (m2.points, m2.weights, -1.0)):
-        for p, wi in zip(pts, w):
-            key = tuple(p)
-            acc[key] = acc.get(key, 0.0) + sign * wi
-    pts, ws = [], []
-    for key in sorted(acc):
-        if abs(acc[key]) > ATOM_TOL:
-            pts.append(key)
-            ws.append(acc[key])
-    if not pts:
-        return np.zeros((0, m1.points.shape[1])), np.zeros(0)
-    return np.array(pts), np.array(ws)
+    pts, d = _bucket(np.vstack([m1.points, m2.points]), np.concatenate([m1.weights, -m2.weights]))
+    keep = np.abs(d) > ATOM_TOL
+    return pts[keep], d[keep]
 
 
 def _min_cost_transport(p_pts, p_mass, q_pts, q_mass) -> float:
@@ -141,7 +131,7 @@ def lid1_path_norm(A, B, p) -> float:
     vals = np.zeros(n)
     for j in range(n):
         vals[j] = lid1(measure_at(A, j), measure_at(B, j))
-    return lp_time_norm(vals, p, n)
+    return lp_time_norm(vals, p)
 
 
 def lower_bound(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,

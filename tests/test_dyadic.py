@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from branchflow import (
+    AtomicMeasurePath,
+    DyadicLevelSpec,
     TimeGrid,
     band_flux,
     band_flux_bounds,
@@ -134,6 +136,23 @@ def test_band_telescoping_boundary():
     mu = random_path(rng, n=1, atoms=4, n_samples=4)
     combined = merge_graphs(mu.grid, band_flux(mu, 1, 2), band_flux(mu, 2, 4))
     assert kirchhoff_residual(combined, dyadic_project(mu, 1), dyadic_project(mu, 4)) <= 1e-9
+
+
+def test_general_lattice_is_mapped_standard_lattice():
+    # a lattice with root r and scale s is the standard one under x -> (x - r) / s
+    rng = np.random.default_rng(12)
+    for n in (1, 2):
+        root, scale = rng.uniform(-0.5, 0.5, size=n), 0.75
+        std = random_path(rng, n=n, atoms=5, n_samples=4)
+        mu = AtomicMeasurePath(root + scale * std.points, std.weights, std.grid)
+        mapped = AtomicMeasurePath((mu.points - root) / scale, mu.weights, mu.grid)
+        spec = DyadicLevelSpec(root=root, scale=scale)
+        for G, H in ((band_flux(mu, 1, 4, spec), band_flux(mapped, 1, 4)),
+                     (band_flux(mu, 2, 3, spec), band_flux(mapped, 2, 3)),
+                     (recursive_flux(mu, 3, spec), recursive_flux(mapped, 3))):
+            assert np.array_equal(G.edges, H.edges)
+            assert np.allclose(G.vertices, root + scale * H.vertices, rtol=0.0, atol=1e-12)
+            assert np.array_equal(G.weights, H.weights)
 
 
 def test_band_bounds_closed_form_value():

@@ -23,6 +23,8 @@ from branchflow import (
 )
 from branchflow.graph import (
     CycleExplosionError,
+    _boundary_matrix,
+    _incidence,
     cancel_antiparallel,
     is_never_cyclic,
     prune_zero_edges,
@@ -79,6 +81,30 @@ def test_kirchhoff_missing_support_point():
     G = unit_edge()
     with pytest.raises(ValueError, match="not a graph vertex"):
         kirchhoff_residual(G, delta_at(0.5), delta_at(1.0))
+
+
+def test_balance_operator_matches_loop_reference():
+    # B and b equal their edge-by-edge construction; the residual adds in another order,
+    # so it agrees with the per-vertex sum to a few ulps of the unit masses
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        G = random_graph(rng, n=2, n_vertices=6, n_samples=4)
+        w_plus, w_minus = rng.uniform(0.1, 1.0, size=(2, 4)), rng.uniform(0.1, 1.0, size=(3, 4))
+        a_plus = make_atomic_path(G.vertices[:2], w_plus / w_plus.sum(axis=0), G.grid)
+        a_minus = make_atomic_path(G.vertices[1:4], w_minus / w_minus.sum(axis=0), G.grid)  # shares vertex 1
+        B = np.zeros((6, G.n_edges))
+        for e, (t, h) in enumerate(G.edges):
+            B[h, e] += 1.0
+            B[t, e] -= 1.0
+        b = np.zeros((6, 4))
+        b[:2] -= a_plus.weights
+        b[1:4] += a_minus.weights
+        assert np.array_equal(_incidence(G), B)
+        assert np.array_equal(_boundary_matrix(G, a_plus, a_minus), b)
+        worst = max(abs(sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 1] == v)
+                        - sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 0] == v) - b[v, j])
+                    for v in range(6) for j in range(4))
+        assert kirchhoff_residual(G, a_plus, a_minus) == pytest.approx(worst, rel=0.0, abs=1e-14)
 
 
 def test_kirchhoff_grid_mismatch():

@@ -12,6 +12,7 @@ from branchflow import (
     sobolev_seminorm,
 )
 from branchflow.measures import (
+    _bucket,
     bump,
     cell_center,
     cell_index,
@@ -203,6 +204,19 @@ def test_mollified_against_monte_carlo():
             acc[key] = acc.get(key, 0.0) + (cnt / keep.sum()) * a.weights[i, 0]
     for center, wgt in zip(proj.points, proj.weights[:, 0]):
         assert wgt == pytest.approx(acc[tuple(center)], abs=1e-3)
+
+
+def test_bucket_matches_dict_reference():
+    # the bucket sum adds rows in input order like a dict loop, so keys and sums agree exactly
+    rng = np.random.default_rng(4)
+    for keys in (rng.integers(-3, 3, size=(40, 2)), rng.choice([-1.5, -0.0, 0.0, 0.25, 1e-9], size=(40, 2))):
+        rows = rng.standard_normal((40, 3))
+        acc: dict[tuple, np.ndarray] = {}
+        for key, row in zip(map(tuple, keys), rows):
+            acc[key] = acc[key] + row if key in acc else row.copy()
+        uniq, sums = _bucket(keys, rows)
+        assert [tuple(k) for k in uniq] == sorted(acc)
+        assert np.array_equal(sums, np.array([acc[k] for k in sorted(acc)]))
 
 
 def test_lp_time_norm_inf_and_finite():

@@ -44,6 +44,16 @@ def test_lid1_unbalanced_rejected():
         lid1(BalancedSignedMeasure([[0.0]], [1.0]), BalancedSignedMeasure([[1.0]], [0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_lid1_non_finite_coordinate_rejected(bad):
+    # the shared LP helper rejects the data; its message must not speak of the weight LPs
+    m1 = BalancedSignedMeasure([[0.0, 0.0], [bad, 0.5]], [0.5, 0.5])
+    m2 = BalancedSignedMeasure([[1.0, 0.0]], [1.0])
+    with pytest.raises(ValueError) as info:
+        lid1(m1, m2)
+    assert "weight" not in str(info.value)
+
+
 def test_lid1_metric_axioms_random():
     rng = np.random.default_rng(0)
     for _ in range(40):
