@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import _freeze
+
 SUBADDITIVITY_TOL = 1e-12
 
 # deterministic lattice used to validate subadditivity at construction
@@ -41,9 +43,9 @@ class TransportCost:
         if self.kind not in ("power", "tabulated"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if self.samples is not None:
-            self.samples.setflags(write=False)
+            object.__setattr__(self, "samples", _freeze(self.samples))
         if self.witness is not None:
-            self.witness.setflags(write=False)
+            object.__setattr__(self, "witness", _freeze(self.witness))
 
     def __call__(self, s):
         return eval_cost(self, s)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .measures import AtomicMeasurePath, TimeGrid, lp_time_norm, time_derivative
+from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, time_derivative
 
 DEFAULT_CYCLE_CAP = 10
 
@@ -28,12 +28,6 @@ class CycleExplosionError(RuntimeError):
         super().__init__(f"cycle explosion: more than {cap} simple cycles (found > {count - 1})")
         self.count = count
         self.cap = cap
-
-
-def _freeze(arr, dtype=float):
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

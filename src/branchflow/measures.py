@@ -41,8 +41,9 @@ class TimeGrid:
         return np.arange(self.n_samples) / self.n_samples
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+def _freeze(arr, dtype=float) -> np.ndarray:
+    """A read-only contiguous copy of ``arr``; the caller's array stays writable."""
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -31,6 +31,16 @@ def test_tabulated_interpolation_and_extension():
     assert eval_cost(tau, 10.0) == pytest.approx(1.5)  # constant beyond last sample
 
 
+def test_tabulated_cost_freezes_a_copy_of_the_callers_table():
+    table = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 1.5]])
+    witness = table.copy()
+    tau = tabulated_cost(table, witness)
+    assert table.flags.writeable and witness.flags.writeable
+    assert not tau.samples.flags.writeable and not tau.witness.flags.writeable
+    table[1, 1] = 0.5
+    assert eval_cost(tau, 1.0) == pytest.approx(1.0)
+
+
 def test_tabulated_rejects_superadditive_table():
     # convex growth s^2 fails the pairwise lattice check
     s = np.linspace(0, 1, 16)

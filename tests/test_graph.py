@@ -23,6 +23,7 @@ from branchflow import (
 )
 from branchflow.graph import (
     CycleExplosionError,
+    TransportGraph,
     _boundary_matrix,
     _incidence,
     cancel_antiparallel,
@@ -45,6 +46,20 @@ def delta_at(x, n_samples=4):
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+def test_graph_freezes_a_copy_of_the_callers_arrays():
+    # a graph is read-only, but the arrays it was built from stay the caller's to change
+    v = np.array([[0.0], [1.0]])
+    e = np.array([[0, 1]])
+    w = np.array([[1.0, 1.0]])
+    G = TransportGraph(v, e, w, TimeGrid(2))
+    assert v.flags.writeable and e.flags.writeable and w.flags.writeable
+    assert not (G.vertices.flags.writeable or G.edges.flags.writeable or G.weights.flags.writeable)
+    v[1, 0] = 5.0
+    e[0, 1] = 0
+    w[0, 0] = 3.0
+    assert G.vertices[1, 0] == 1.0 and G.edges[0, 1] == 1 and G.weights[0, 0] == 1.0
+
 
 def test_constructor_merges_parallel_edges():
     grid = TimeGrid(2)

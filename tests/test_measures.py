@@ -12,6 +12,8 @@ from branchflow import (
     sobolev_seminorm,
 )
 from branchflow.measures import (
+    AtomicMeasurePath,
+    SignedAtomicPath,
     _bucket,
     bump,
     cell_center,
@@ -27,6 +29,22 @@ def test_constant_delta_path():
     a = make_atomic_path([[0.5]], np.ones((1, 8)), TimeGrid(8))
     assert a.n_atoms == 1
     assert np.all(a.weights == 1.0)
+
+
+def test_paths_freeze_a_copy_of_the_callers_arrays():
+    # a path is read-only, but the arrays it was built from stay the caller's to change
+    grid = TimeGrid(2)
+    pts = np.array([[0.0], [1.0]])
+    for cls, w in ((AtomicMeasurePath, np.array([[0.5, 1.0], [0.5, 0.0]])),
+                   (SignedAtomicPath, np.array([[0.5, -1.0], [-0.5, 1.0]]))):
+        path = cls(pts, w, grid)
+        assert pts.flags.writeable and w.flags.writeable
+        assert not path.points.flags.writeable and not path.weights.flags.writeable
+        before = path.weights.copy()
+        pts[0, 0] = 7.0
+        w[0, 0] = 2.0
+        assert path.points[0, 0] == 0.0 and np.array_equal(path.weights, before)
+        pts[0, 0] = 0.0
 
 
 def test_mass_condition_rejected():

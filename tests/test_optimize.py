@@ -125,6 +125,58 @@ def test_sample_lp_matches_linprog():
     assert any(outcomes) and not all(outcomes)
 
 
+def test_sample_lp_reuse_is_stateless(monkeypatch):
+    # one object answers a shuffled sequence with repeats exactly as a new object per LP and
+    # linprog do, and runs HiGHS once per distinct (cost, rhs)
+    rng = np.random.default_rng(12)
+    mu = random_path(rng, n=2, atoms=3)
+    nu = random_path(rng, n=2, atoms=2)
+    G = direct_topology(mu, nu)
+    B = _incidence(G)
+    b = _boundary_matrix(G, mu, nu)
+    unbalanced = b[:, 0].copy()
+    unbalanced[0] += 0.5
+    rhs_cases = [b[:, j] for j in range(b.shape[1])] + [unbalanced]
+    costs = [G.lengths, np.ones(G.n_edges), np.ones(G.n_edges, dtype=int),
+             G.lengths * rng.uniform(1.0, 1.5, G.n_edges), rng.uniform(-1.0, 1.0, G.n_edges)]
+    problems = [(c, r) for c in range(len(costs)) for r in range(len(rhs_cases))]
+    infeasible = (0, len(rhs_cases) - 1)
+    runs = []
+    real_solve = _SampleLP._solve
+
+    def counting_solve(self, cost, rhs):
+        runs.append((self, (cost.tobytes(), rhs.tobytes())))
+        return real_solve(self, cost, rhs)
+
+    monkeypatch.setattr(_SampleLP, "_solve", counting_solve)
+
+    for ub in (2.0, 0.5):
+        refs = {}
+        for c, r in problems:
+            x = _SampleLP(B, ub).solve(costs[c], rhs_cases[r])
+            res = linprog(c=costs[c], A_eq=B, b_eq=rhs_cases[r], bounds=(0.0, ub), method="highs")
+            assert (x is not None) == res.success
+            if res.success:
+                assert np.array_equal(x, res.x)
+            refs[c, r] = x
+        assert refs[infeasible] is None and any(x is not None for x in refs.values())
+        sequence = [problems[i % len(problems)] for i in rng.permutation(3 * len(problems))]
+        sequence += [(0, 0), infeasible, (0, 0), infeasible, (3, 1)]  # repeats after a failure
+        sample_lp = _SampleLP(B, ub)
+        for c, r in sequence:
+            x = sample_lp.solve(costs[c], rhs_cases[r])
+            assert (x is None) == (refs[c, r] is None)
+            if x is not None:
+                assert x.tobytes() == refs[c, r].tobytes()
+                x += 1.0  # the caller's copy: a later repeat must not see this
+        for r in range(len(rhs_cases)):
+            assert (refs[1, r] is None) == (refs[2, r] is None)
+            assert refs[1, r] is None or refs[1, r].tobytes() == refs[2, r].tobytes()
+        keys = [key for owner, key in runs if owner is sample_lp]
+        distinct = {(np.asarray(costs[c], float).tobytes(), rhs_cases[r].tobytes()) for c, r in problems}
+        assert len(keys) == len(set(keys)) == len(distinct) == len(problems) - len(rhs_cases)
+
+
 def test_baseline_upper_returns_finite_energy_and_witness():
     rng = np.random.default_rng(0)
     mu = random_path(rng, n=1, atoms=3)
