@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
+from scipy.sparse import coo_array, csc_array
 
 from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, time_derivative
 
@@ -134,13 +135,12 @@ def _support_indices(G: TransportGraph, path: AtomicMeasurePath) -> np.ndarray:
     return np.array(idx, dtype=int)
 
 
-def _incidence(G: TransportGraph) -> np.ndarray:
-    """(V, E) incidence matrix B: +1 at each edge's head, -1 at its tail."""
-    B = np.zeros((G.vertices.shape[0], G.n_edges))
-    cols = np.arange(G.n_edges)
-    B[G.edges[:, 1], cols] = 1.0
-    B[G.edges[:, 0], cols] -= 1.0
-    return B
+def _incidence(G: TransportGraph) -> csc_array:
+    """(V, E) sparse incidence matrix B: +1 at each edge's head, -1 at its tail."""
+    cols = np.repeat(np.arange(G.n_edges), 2)
+    data = np.tile([1.0, -1.0], G.n_edges)
+    return coo_array((data, (G.edges[:, ::-1].ravel(), cols)),
+                     shape=(G.vertices.shape[0], G.n_edges)).tocsc()
 
 
 def _boundary_matrix(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath) -> np.ndarray:

@@ -1,6 +1,6 @@
 """HiGHS through SciPy's bundled bindings, shared by the program's LPs.
 
-``_SampleLP`` solves the per-sample weight LPs of
+``_SampleLP`` solves the time-coupled weight LP of
 ``optimize.optimize_weights`` and the transportation LP behind
 ``wasserstein.lid1``.
 """
@@ -22,11 +22,13 @@ except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
 class _SampleLP:
     """min c.x subject to B x = b, 0 <= x <= ub for a fixed B, solved by HiGHS.
 
-    Repeated solves share B and differ only in c and b (the time samples of
-    one weight-LP topology), so the model and one HiGHS solver are built
-    once per object, and each solve swaps in its cost and right-hand side
-    and passes the model again.  Options and the acceptance test are those
-    of ``scipy.optimize.linprog(..., method="highs")`` (``_linprog_highs``
+    One object holds one coupled weight LP per topology, or one transport
+    LP.  Repeated solves share B and differ only in c and b (the starts
+    and sweeps of one ``optimize_weights`` call), so the model and one
+    HiGHS solver are built once per object, and each solve swaps in its
+    cost and right-hand side and passes the model again.  Options and
+    the acceptance test are those of
+    ``scipy.optimize.linprog(..., method="highs")`` (``_linprog_highs``
     and ``_check_result``), so each solve returns exactly what that call
     returns, without its per-call input cleaning and option checking.
     Only this class knows the HiGHS format.
@@ -69,7 +71,7 @@ class _SampleLP:
         self._memo: dict[tuple[bytes, bytes], np.ndarray | None] = {}
 
     def solve(self, cost, rhs):
-        """Optimal x for one sample, or None where linprog reports failure."""
+        """Optimal x for one (c, b), or None where linprog reports failure."""
         cost = np.asarray(cost, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         if not (np.isfinite(cost).all() and np.isfinite(rhs).all()):  # linprog raises here too

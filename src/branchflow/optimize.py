@@ -7,10 +7,13 @@ reported [lower, upper] interval brackets the true distance.
 
 Weight optimization holds the topology fixed.  Because the cost is
 concave in the weights, minima sit on faces of the balance polytope; the
-solver therefore combines consolidating LP sweeps (the cost linearized
-at the current iterate, the derivative penalty linearized sample by
-sample) with a smoothed projected-subgradient phase and multi-start,
-keeping the best feasible iterate seen.
+solver therefore runs consolidating LP sweeps from several starts and
+keeps the best feasible iterate seen.  Each start and each sweep is one
+LP over all time samples: the mass term is linearized at the current
+iterate, and the derivative term is exact up to its reweighted L^p norm,
+because split columns u, v >= 0 with W(t+1) - W(t) = u(t) - v(t) carry
+the derivative magnitudes (an l1 penalty as an LP; Boyd & Vandenberghe,
+Convex Optimization, 6.1).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401  no longer called; bench/tracing.py traces this name
 
 from . import wasserstein
@@ -44,32 +48,34 @@ from .graph import (
     strip_strong_cycles,
 )
 from .lp import _SampleLP
-from .measures import AtomicMeasurePath, cell_center, cell_index, derivative_path, lp_time_norm, time_derivative
+from .measures import AtomicMeasurePath, cell_center, cell_index, derivative_path, lp_time_norm
 
 SEARCH_CYCLE_CAP = 512  # cycle cap for the search's candidates and its final witness
+PERTURBATION = 0.08  # standard deviation of the "perturb" move's junction shift
+STALL_LIMIT = 50  # consecutive non-improving moves that end the search
+EPS_TAU = 1e-6  # weights below this take tau's slope at this value
+WEIGHT_BOUND = 2.0  # upper bound of every weight-LP column
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search budgets and solver knobs; the seed fixes the whole run."""
+    """Search budgets; the seed fixes the whole run.
+
+    ``subgradient_steps`` is accepted and read by nothing: the weight LP
+    has no subgradient phase, and benchmark configurations still pass it.
+    """
 
     k_max: int = 3
     steiner_budget: int = 2
     iterations: int = 120
-    perturbation: float = 0.08
     seed: int = 0
     subgradient_steps: int = 20
-    step_size: float = 0.05
-    eps_tau: float = 1e-6
     sweeps: int = 5
     multi_start: int = 2
-    stall_limit: int = 50
-    weight_bound: float = 2.0
 
     def __post_init__(self):
-        for name in ("k_max", "steiner_budget", "iterations", "perturbation", "seed",
-                     "subgradient_steps", "step_size", "eps_tau", "sweeps",
-                     "multi_start", "stall_limit", "weight_bound"):
+        for name in ("k_max", "steiner_budget", "iterations", "seed",
+                     "subgradient_steps", "sweeps", "multi_start"):
             if getattr(self, name) < 0:
                 raise ValueError(f"config field {name} must be nonnegative")
 
@@ -115,24 +121,28 @@ def _objective(lengths, W, tau, p, lam):
     return mass + lam * lp_time_norm(_derivative_series(lengths, W), p)
 
 
-def _derivative_subgradient(lengths, W, p_eff, n):
-    """Gradient of the derivative term, derivative magnitudes linearized."""
-    dW = time_derivative(W)
-    series = lengths @ np.abs(dW)
-    norm = lp_time_norm(series, p_eff)
-    if norm <= 1e-15:
-        return np.zeros_like(W)
-    scale = (series ** (p_eff - 1.0)) * norm ** (1.0 - p_eff) / n
-    signed = np.sign(dW) * scale[None, :]  # d(norm)/d(Delta_{e,t}) up to N*len
-    return n * lengths[:, None] * (np.roll(signed, 1, axis=1) - signed)
-
-
-def _mass_scales(lengths, W, tau, p_eff, n):
-    series = _tau_mass_series(lengths, W, tau)
+def _norm_gradient(series, p_eff):
+    """Gradient of the L^p-in-time norm at a nonnegative series; uniform 1/N if the series is zero."""
+    n = series.size
     norm = lp_time_norm(series, p_eff)
     if norm <= 1e-15:
         return np.full(n, 1.0 / n)
     return (series ** (p_eff - 1.0)) * norm ** (1.0 - p_eff) / n
+
+
+def _coupled_matrix(B, n):
+    """Constraint matrix of the weight LP over all n samples, columns x = (W, u, v).
+
+    W, u and v are (E, n) arrays flattened sample after sample.  The
+    first V*n rows give B W(t); the next E*n rows give
+    W(t+1) - W(t) - u(t) + v(t), with t + 1 taken mod n.
+    """
+    ne = B.shape[1]
+    eye_n, eye_split = sparse.eye_array(n), sparse.eye_array(ne * n)
+    shift = sparse.eye_array(n, k=1) + sparse.eye_array(n, k=1 - n) - eye_n  # row t: x(t+1) - x(t)
+    return sparse.block_array([[sparse.kron(eye_n, B), None, None],
+                               [sparse.kron(shift, sparse.eye_array(ne)), -eye_split, eye_split]],
+                              format="csc")
 
 
 def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath,
@@ -141,38 +151,37 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
     """Best feasible weights found for a fixed topology.
 
     Raises when no feasible assignment exists.  The returned weights
-    satisfy the balance constraints to LP accuracy and never exceed the
-    configured bound.
+    satisfy the balance constraints to LP accuracy and never exceed
+    ``WEIGHT_BOUND``.
     """
     if topology.n_edges == 0:
         if kirchhoff_residual(topology, a_plus, a_minus) > 1e-9:
             raise ValueError("infeasible topology: no edges but unbalanced boundary")
         return topology
     rng = rng or np.random.default_rng(cfg.seed)
-    n = topology.grid.n_samples
-    B = _incidence(topology)
-    b = _boundary_matrix(topology, a_plus, a_minus)
+    n, ne = topology.grid.n_samples, topology.n_edges
     lengths = topology.lengths
     p_eff = min(p, 16.0) if not math.isinf(p) else 16.0
-    ub = cfg.weight_bound
-    sample_lp = _SampleLP(B, ub)
+    # |W(t+1) - W(t)| <= WEIGHT_BOUND, so the bound also fits the split columns u, v
+    weight_lp = _SampleLP(_coupled_matrix(_incidence(topology), n), WEIGHT_BOUND)
+    rhs = np.concatenate([_boundary_matrix(topology, a_plus, a_minus).ravel(order="F"), np.zeros(ne * n)])
 
-    def lp_solve_all(cost_matrix):
-        W = np.zeros((topology.n_edges, n))
-        for j in range(n):
-            w = sample_lp.solve(cost_matrix[:, j], b[:, j])
-            if w is None:
-                raise ValueError(f"infeasible topology at sample {j}")
-            W[:, j] = w
-        return W
+    def lp_solve(mass_cost, deriv_grad):
+        """Minimize <mass_cost, W> + lam * sum_t deriv_grad[t] * sum_e len_e * |N (W(t+1) - W(t))|."""
+        split_cost = (lam * n * np.outer(lengths, deriv_grad)).ravel(order="F")
+        x = weight_lp.solve(np.concatenate([mass_cost.ravel(order="F"), split_cost, split_cost]), rhs)
+        if x is None:
+            raise ValueError("infeasible topology")
+        return x[:ne * n].reshape((ne, n), order="F")
 
-    # start 0: pure consolidation along shortest routes
-    starts = [lp_solve_all(np.tile(lengths[:, None], (1, n)))]
+    # start 0: pure consolidation along shortest routes; the derivative counts uniformly in time
+    uniform = np.full(n, 1.0 / n)
+    starts = [lp_solve(np.tile(lengths[:, None], (1, n)), uniform)]
     if np.any(topology.weights > 0):
         starts.append(topology.weights.copy())
     for _ in range(max(cfg.multi_start - 1, 0)):
-        jitter = 1.0 + 0.5 * rng.random(topology.n_edges)
-        starts.append(lp_solve_all(np.tile((lengths * jitter)[:, None], (1, n))))
+        jitter = 1.0 + 0.5 * rng.random(ne)
+        starts.append(lp_solve(np.tile((lengths * jitter)[:, None], (1, n)), uniform))
 
     best_W = None
     best_val = math.inf
@@ -184,42 +193,14 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
             best_val = val
             best_W = W.copy()
 
-    B_pinv = np.linalg.pinv(B)
-
-    def project(W):
-        for _ in range(40):
-            W = W + B_pinv @ (b - B @ W)
-            if W.min() >= -1e-14:
-                break
-            W = np.clip(W, 0.0, ub)
-        resid = float(np.max(np.abs(B @ W - b))) if W.size else 0.0
-        return np.clip(W, 0.0, ub), resid
-
     for W in starts:
         consider(W)
-        # consolidating sweeps: linearize cost and derivative penalty per sample
+        # consolidating sweeps: tau linearized at W, both norms reweighted at W
         for _ in range(cfg.sweeps):
-            scales = _mass_scales(lengths, W, tau, p_eff, n)
-            g_deriv = _derivative_subgradient(lengths, W, p_eff, n)
-            for j in range(n):
-                cost_col = scales[j] * _tau_slope(tau, W[:, j], cfg.eps_tau) * lengths + lam * g_deriv[:, j]
-                w = sample_lp.solve(cost_col, b[:, j])
-                if w is not None:
-                    W[:, j] = w
+            mass_grad = _norm_gradient(_tau_mass_series(lengths, W, tau), p_eff)
+            deriv_grad = _norm_gradient(_derivative_series(lengths, W), p_eff)
+            W = lp_solve(mass_grad[None, :] * _tau_slope(tau, W, EPS_TAU) * lengths[:, None], deriv_grad)
             consider(W)
-        # smoothed projected-subgradient refinement
-        W = best_W.copy()
-        for step in range(cfg.subgradient_steps):
-            scales = _mass_scales(lengths, W, tau, p_eff, n)
-            g = scales[None, :] * _tau_slope(tau, W, cfg.eps_tau) * lengths[:, None]
-            g = g + lam * _derivative_subgradient(lengths, W, p_eff, n)
-            gn = float(np.max(np.abs(g)))
-            if gn <= 1e-15:
-                break
-            W = W - (cfg.step_size / math.sqrt(step + 1.0)) * g / gn
-            W, resid = project(W)
-            if resid <= 1e-9:
-                consider(W)
 
     return topology.with_weights(best_W)
 
@@ -386,7 +367,7 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     steiner_added = 0
     stall = 0
     moves = ("steiner", "perturb", "add_edge", "reoptimize")
-    while iterations < cfg.iterations and stall < cfg.stall_limit:
+    while iterations < cfg.iterations and stall < STALL_LIMIT:
         move = moves[int(rng.integers(len(moves)))]
         cand = _propose(incumbent, move, boundary_points, steiner_added, cfg, rng)
         iterations += 1
@@ -470,7 +451,7 @@ def _propose(G: TransportGraph, move: str, boundary_points: set, steiner_added: 
             return None
         s = movable[int(rng.integers(len(movable)))]
         new_verts = verts.copy()
-        new_verts[s] = new_verts[s] + cfg.perturbation * rng.standard_normal(G.dimension)
+        new_verts[s] = new_verts[s] + PERTURBATION * rng.standard_normal(G.dimension)
         if len({tuple(v) for v in new_verts}) != len(new_verts):
             return None
         return TransportGraph(new_verts, G.edges, G.weights, G.grid), False

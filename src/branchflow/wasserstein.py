@@ -144,22 +144,18 @@ def lower_bound(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     and the Lipschitz-potential estimate TV(G[t]) >= Lid1 of the
     boundary difference.
     """
-    r = rho(tau, 1.0)
-    if abs(r - 1.0) > 1e-12:
+    terms = lower_bound_terms(mu_plus, mu_minus, tau, p, lam)
+    if abs(terms["rho"] - 1.0) > 1e-12:
         warnings.warn(
-            f"rho(tau, 1) = {r:.6g} differs from 1; the scaling of the mass term "
+            f"rho(tau, 1) = {terms['rho']:.6g} differs from 1; the scaling of the mass term "
             "is only certified through the subadditive bound",
             stacklevel=2,
         )
-    mass_term = lid1_path_norm(mu_plus, mu_minus, p)
-    nu_plus = derivative_path(mu_plus)
-    nu_minus = derivative_path(mu_minus)
-    deriv_term = lid1_path_norm(nu_plus, nu_minus, p)
-    return r * mass_term + lam * deriv_term
+    return terms["lower_bound"]
 
 
 def lower_bound_terms(mu_plus, mu_minus, tau, p, lam) -> dict:
-    """The two L^p terms and rho(tau, 1), for reporting."""
+    """The two L^p terms, rho(tau, 1) and the bound they give, without warnings."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r = rho(tau, 1.0)

@@ -114,7 +114,7 @@ def test_balance_operator_matches_loop_reference():
         b = np.zeros((6, 4))
         b[:2] -= a_plus.weights
         b[1:4] += a_minus.weights
-        assert np.array_equal(_incidence(G), B)
+        assert np.array_equal(_incidence(G).toarray(), B)
         assert np.array_equal(_boundary_matrix(G, a_plus, a_minus), b)
         worst = max(abs(sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 1] == v)
                         - sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 0] == v) - b[v, j])

@@ -22,12 +22,14 @@ from branchflow.graph import is_never_cyclic
 from branchflow.lp import _SampleLP
 from branchflow.optimize import (
     _boundary_matrix,
+    _coupled_matrix,
     _incidence,
+    _objective,
     direct_topology,
     instance_connector_witness,
 )
 
-from conftest import random_path
+from conftest import random_graph, random_path
 
 
 def delta(x, n_samples=4):
@@ -90,6 +92,43 @@ def test_lambda_sweep_reduces_witness_derivative():
                            OptimizerConfig(k_max=1, iterations=12, seed=1))
         derivs.append(derivative_lp_norm(rep.witness, 2))
     assert derivs[1] <= derivs[0] + 1e-9
+
+
+def test_coupled_matrix_rows_match_loop_reference():
+    # rows are B W(t) sample by sample, then W(t+1) - W(t) - u(t) + v(t) with the wrap N-1 -> 0
+    rng = np.random.default_rng(22)
+    for n_samples in (2, 3, 5):
+        G = random_graph(rng, n=2, n_vertices=5, n_samples=n_samples)
+        nv, ne = G.vertices.shape[0], G.n_edges
+        W, u, v = rng.uniform(-1.0, 1.0, size=(3, ne, n_samples))
+        b = rng.uniform(-1.0, 1.0, size=(nv, n_samples))
+        A = _coupled_matrix(_incidence(G), n_samples)
+        assert A.shape == (nv * n_samples + ne * n_samples, 3 * ne * n_samples)
+        x = np.concatenate([W.ravel(order="F"), u.ravel(order="F"), v.ravel(order="F")])
+        rows = A @ x - np.concatenate([b.ravel(order="F"), np.zeros(ne * n_samples)])
+        balance = rows[:nv * n_samples].reshape((nv, n_samples), order="F")
+        diff = rows[nv * n_samples:].reshape((ne, n_samples), order="F")
+        for t in range(n_samples):
+            for vert in range(nv):
+                ref = (sum(W[e, t] for e in range(ne) if G.edges[e, 1] == vert)
+                       - sum(W[e, t] for e in range(ne) if G.edges[e, 0] == vert) - b[vert, t])
+                assert balance[vert, t] == pytest.approx(ref, rel=0.0, abs=1e-14)
+            nxt = (t + 1) % n_samples
+            for e in range(ne):
+                ref = W[e, nxt] - W[e, t] - u[e, t] + v[e, t]
+                assert diff[e, t] == pytest.approx(ref, rel=0.0, abs=1e-14)
+
+
+def test_coupled_lp_prices_the_derivative_exactly():
+    # the per-sample LPs with the derivative's sign pattern frozen at the last iterate
+    # stopped at 3.961 here; one LP over all samples with exact |W(t+1) - W(t)| reaches 1.981
+    rng = np.random.default_rng(20)
+    mu = random_path(rng, n=1, atoms=3)
+    nu = random_path(rng, n=1, atoms=2)
+    tau = power_cost(0.5)
+    out = optimize_weights(direct_topology(mu, nu), mu, nu, tau, 2, 1.0, FAST)
+    assert kirchhoff_residual(out, mu, nu) <= 1e-9
+    assert _objective(out.lengths, out.weights, tau, 2, 1.0) < 2.0
 
 
 # ---------------------------------------------------------------------------
