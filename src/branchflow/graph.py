@@ -20,6 +20,7 @@ from scipy.sparse import coo_array, csc_array
 from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, time_derivative
 
 DEFAULT_CYCLE_CAP = 10
+EXHAUSTIVE_LIMIT = 8  # max_order tries every extraction order up to this many cycles
 
 
 class CycleExplosionError(RuntimeError):
@@ -331,12 +332,12 @@ def _greedy_order(G: TransportGraph, cycles, p) -> tuple[int, ...]:
     return tuple(order)
 
 
-def max_order(G: TransportGraph, cycles, p, exhaustive_limit: int = 8):
-    """Energy-maximizing extraction order; exhaustive up to the limit."""
+def max_order(G: TransportGraph, cycles, p):
+    """Energy-maximizing extraction order; exhaustive up to EXHAUSTIVE_LIMIT cycles."""
     count = len(cycles)
     if count == 0:
         return (), True
-    if count <= exhaustive_limit:
+    if count <= EXHAUSTIVE_LIMIT:
         best, best_val = None, -1.0
         for perm in itertools.permutations(range(count)):
             val = _bracket(G, perm, cycles, p)
@@ -346,20 +347,18 @@ def max_order(G: TransportGraph, cycles, p, exhaustive_limit: int = 8):
     return _greedy_order(G, cycles, p), False
 
 
-def energy(G: TransportGraph, tau, p, lam: float, cycle_cap: int = DEFAULT_CYCLE_CAP,
-           allow_heuristic: bool = True) -> EnergyReport:
+def energy(G: TransportGraph, tau, p, lam: float, cycle_cap: int = DEFAULT_CYCLE_CAP) -> EnergyReport:
     """Mass term plus lambda times the worst-case derivative bracket.
 
     The bracket is maximized over cycle extraction orders; exhaustively
-    for up to 8 cycles, greedily beyond (exact_flag False).  For graphs
-    with no strong cycle the result equals m_tau_p + lam * ||G'||.
+    for up to ``EXHAUSTIVE_LIMIT`` cycles, greedily beyond (exact_flag
+    False).  For graphs with no strong cycle the result equals
+    m_tau_p + lam * ||G'||.
     """
     _check_p(p)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     cycles = enumerate_cycles(G, cap=cycle_cap)
-    if len(cycles) > 8 and not allow_heuristic:
-        raise CycleExplosionError(len(cycles), 8)
     order, exact = max_order(G, cycles, p)
     mass = m_tau_p(G, tau, p)
     deriv = _bracket(G, order, cycles, p) if cycles else derivative_lp_norm(G, p)

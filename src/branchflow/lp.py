@@ -26,21 +26,15 @@ class _SampleLP:
     LP.  Repeated solves share B and differ only in c and b (the starts
     and sweeps of one ``optimize_weights`` call), so the model and one
     HiGHS solver are built once per object, and each solve swaps in its
-    cost and right-hand side and passes the model again.  Options and
-    the acceptance test are those of
-    ``scipy.optimize.linprog(..., method="highs")`` (``_linprog_highs``
-    and ``_check_result``), so each solve returns exactly what that call
-    returns, without its per-call input cleaning and option checking.
-    Only this class knows the HiGHS format.
-
-    Each object also remembers the answer to every distinct (c, b) it has
-    solved, keyed by their float64 bytes, and answers a repeat from that
-    memo with a copy.  Both reuses are exact: ``passModel`` replaces the
-    whole model and drops the previous basis and solution, so a solve
-    starts from the same state as on a new solver, and HiGHS's dual
-    simplex is deterministic for a fixed input, so a repeat would
-    recompute the same x (or the same failure).  The memo lives as long
-    as the object: one ``optimize_weights`` or ``lid1`` call.
+    cost and right-hand side and passes the model again.  Reuse is exact:
+    ``passModel`` replaces the whole model and drops the previous basis
+    and solution, so each solve starts from the state of a new solver,
+    and HiGHS's dual simplex is deterministic for a fixed input, so the
+    same (c, b) always gives the same x.  Options and the acceptance test
+    are those of ``scipy.optimize.linprog(..., method="highs")``
+    (``_linprog_highs`` and ``_check_result``), so each solve returns
+    exactly what that call returns, without its per-call input cleaning
+    and option checking.  Only this class knows the HiGHS format.
     """
 
     _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
@@ -68,22 +62,13 @@ class _SampleLP:
         self._highs = _highs._Highs()
         self._highs.passOptions(options)
         self._lp, self._ub = lp, ub
-        self._memo: dict[tuple[bytes, bytes], np.ndarray | None] = {}
 
     def solve(self, cost, rhs):
-        """Optimal x for one (c, b), or None where linprog reports failure."""
+        """Optimal x for one (c, b), or None where linprog reports failure; one HiGHS run."""
         cost = np.asarray(cost, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         if not (np.isfinite(cost).all() and np.isfinite(rhs).all()):  # linprog raises here too
             raise ValueError("LP cost and right-hand side must be finite")
-        key = (cost.tobytes(), rhs.tobytes())
-        if key not in self._memo:
-            self._memo[key] = self._solve(cost, rhs)
-        x = self._memo[key]
-        return None if x is None else x.copy()
-
-    def _solve(self, cost, rhs):
-        """One HiGHS run on the persistent solver, with linprog's acceptance test."""
         self._lp.col_cost_ = cost
         self._lp.row_lower_ = rhs
         self._lp.row_upper_ = rhs

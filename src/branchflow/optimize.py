@@ -13,7 +13,9 @@ LP over all time samples: the mass term is linearized at the current
 iterate, and the derivative term is exact up to its reweighted L^p norm,
 because split columns u, v >= 0 with W(t+1) - W(t) = u(t) - v(t) carry
 the derivative magnitudes (an l1 penalty as an LP; Boyd & Vandenberghe,
-Convex Optimization, 6.1).
+Convex Optimization, 6.1).  A sweep depends on its iterate alone, so a
+start ends at an iterate already swept with at least as many sweeps
+left; that returns the same weights as running every sweep.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog  # noqa: F401  no longer called; bench/tracing.py traces this name
+from scipy.sparse import coo_array
 
 from . import wasserstein
 from .cost import TransportCost, check_admissible
@@ -55,6 +57,7 @@ PERTURBATION = 0.08  # standard deviation of the "perturb" move's junction shift
 STALL_LIMIT = 50  # consecutive non-improving moves that end the search
 EPS_TAU = 1e-6  # weights below this take tau's slope at this value
 WEIGHT_BOUND = 2.0  # upper bound of every weight-LP column
+DIRECT_MAX_ATOMS = 12  # largest support union that direct_topology connects completely
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,14 @@ def _tau_slope(tau: TransportCost, w, eps):
     return np.where(s >= xs[-1], 0.0, slopes)
 
 
+def _series_objective(mass, deriv, p, lam):
+    """Energy from the mass and derivative series of a strong-cycle-free assignment."""
+    return lp_time_norm(mass, p) + lam * lp_time_norm(deriv, p)
+
+
 def _objective(lengths, W, tau, p, lam):
     """Energy of a strong-cycle-free assignment: mass plus plain derivative term."""
-    mass = lp_time_norm(_tau_mass_series(lengths, W, tau), p)
-    return mass + lam * lp_time_norm(_derivative_series(lengths, W), p)
+    return _series_objective(_tau_mass_series(lengths, W, tau), _derivative_series(lengths, W), p, lam)
 
 
 def _norm_gradient(series, p_eff):
@@ -137,12 +144,15 @@ def _coupled_matrix(B, n):
     first V*n rows give B W(t); the next E*n rows give
     W(t+1) - W(t) - u(t) + v(t), with t + 1 taken mod n.
     """
-    ne = B.shape[1]
-    eye_n, eye_split = sparse.eye_array(n), sparse.eye_array(ne * n)
-    shift = sparse.eye_array(n, k=1) + sparse.eye_array(n, k=1 - n) - eye_n  # row t: x(t+1) - x(t)
-    return sparse.block_array([[sparse.kron(eye_n, B), None, None],
-                               [sparse.kron(shift, sparse.eye_array(ne)), -eye_split, eye_split]],
-                              format="csc")
+    B = coo_array(B)
+    nv, ne = B.shape
+    m = ne * n
+    k = np.arange(m)  # e + E t: the column of W(e, t) and, offset by V n, its difference row
+    t = np.arange(n)[:, None]
+    rows = np.concatenate([(B.row + nv * t).ravel(), nv * n + np.tile(k, 4)])
+    cols = np.concatenate([(B.col + ne * t).ravel(), k % ne + ne * ((k // ne + 1) % n), k, m + k, 2 * m + k])
+    data = np.concatenate([np.tile(B.data, n), np.repeat([1.0, -1.0, -1.0, 1.0], m)])
+    return coo_array((data, (rows, cols)), shape=(nv * n + m, 3 * m)).tocsc()
 
 
 def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath,
@@ -188,19 +198,27 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
 
     def consider(W):
         nonlocal best_W, best_val
-        val = _objective(lengths, W, tau, p, lam)
+        mass, deriv = _tau_mass_series(lengths, W, tau), _derivative_series(lengths, W)
+        val = _series_objective(mass, deriv, p, lam)
         if val < best_val - 1e-15:
             best_val = val
             best_W = W.copy()
+        return mass, deriv
 
+    # A sweep is a function of W alone, so a start ends at an iterate already swept with at
+    # least as many sweeps left: everything it could reach has already been considered.
+    swept: dict[bytes, int] = {}
     for W in starts:
-        consider(W)
+        mass, deriv = consider(W)
         # consolidating sweeps: tau linearized at W, both norms reweighted at W
-        for _ in range(cfg.sweeps):
-            mass_grad = _norm_gradient(_tau_mass_series(lengths, W, tau), p_eff)
-            deriv_grad = _norm_gradient(_derivative_series(lengths, W), p_eff)
-            W = lp_solve(mass_grad[None, :] * _tau_slope(tau, W, EPS_TAU) * lengths[:, None], deriv_grad)
-            consider(W)
+        for left in range(cfg.sweeps, 0, -1):
+            key = W.tobytes()
+            if swept.get(key, 0) >= left:
+                break
+            swept[key] = left
+            mass_cost = _norm_gradient(mass, p_eff)[None, :] * _tau_slope(tau, W, EPS_TAU) * lengths[:, None]
+            W = lp_solve(mass_cost, _norm_gradient(deriv, p_eff))
+            mass, deriv = consider(W)
 
     return topology.with_weights(best_W)
 
@@ -254,19 +272,13 @@ def instance_connector_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasu
     return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
 
 
-def direct_topology(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
-                    max_atoms: int = 12) -> TransportGraph:
+def direct_topology(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath) -> TransportGraph:
     """Complete bi-directed graph on the union of supports, zero weights."""
-    pts = {tuple(p) for p in mu_plus.points} | {tuple(p) for p in mu_minus.points}
-    pts = sorted(pts)
-    if len(pts) > max_atoms:
-        raise ValueError(f"direct topology limited to {max_atoms} atoms, got {len(pts)}")
+    pts = sorted({tuple(p) for p in mu_plus.points} | {tuple(p) for p in mu_minus.points})
+    if len(pts) > DIRECT_MAX_ATOMS:
+        raise ValueError(f"direct topology limited to {DIRECT_MAX_ATOMS} atoms, got {len(pts)}")
     grid = mu_plus.grid
-    edges = []
-    for a in pts:
-        for b in pts:
-            if a != b:
-                edges.append((np.array(a), np.array(b)))
+    edges = [(np.array(a), np.array(b)) for a in pts for b in pts if a != b]
     rows = np.zeros((len(edges), grid.n_samples))
     return graph_from_paths(None, edges, rows, grid)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 from branchflow import (
@@ -17,14 +18,19 @@ from branchflow import (
     metric_probe,
     optimize_weights,
     power_cost,
+    tabulated_cost,
 )
-from branchflow.graph import is_never_cyclic
+from branchflow.graph import _derivative_series, _tau_mass_series, is_never_cyclic
 from branchflow.lp import _SampleLP
 from branchflow.optimize import (
+    EPS_TAU,
+    WEIGHT_BOUND,
     _boundary_matrix,
     _coupled_matrix,
     _incidence,
+    _norm_gradient,
     _objective,
+    _tau_slope,
     direct_topology,
     instance_connector_witness,
 )
@@ -119,6 +125,102 @@ def test_coupled_matrix_rows_match_loop_reference():
                 assert diff[e, t] == pytest.approx(ref, rel=0.0, abs=1e-14)
 
 
+def test_coupled_matrix_matches_kron_build():
+    # the index-arithmetic build equals the kron/block_array build entry for entry, and stores
+    # no explicit zeros; kron stores B's zeros when B is dense enough for its block path
+    def kron_build(B, n):
+        ne = B.shape[1]
+        eye_n, eye_split = sparse.eye_array(n), sparse.eye_array(ne * n)
+        shift = sparse.eye_array(n, k=1) + sparse.eye_array(n, k=1 - n) - eye_n
+        return sparse.block_array([[sparse.kron(eye_n, B), None, None],
+                                   [sparse.kron(shift, sparse.eye_array(ne)), -eye_split, eye_split]],
+                                  format="csc")
+
+    rng = np.random.default_rng(23)
+    kron_zeros = 0
+    for n_samples in (2, 3, 4, 8):
+        mu = random_path(rng, n=2, atoms=3, n_samples=n_samples)
+        nu = random_path(rng, n=2, atoms=2, n_samples=n_samples)
+        for G in (random_graph(rng, n=2, n_vertices=5, n_samples=n_samples),
+                  random_graph(rng, n=2, n_vertices=3, n_samples=n_samples),
+                  direct_topology(mu, nu), instance_connector_witness(mu, nu, 2)):
+            B = _incidence(G)
+            A, ref = _coupled_matrix(B, n_samples), kron_build(B, n_samples)
+            assert A.format == "csc" and A.shape == ref.shape
+            assert np.array_equal(A.toarray(), ref.toarray())
+            assert A.nnz == np.count_nonzero(A.toarray())
+            kron_zeros += ref.nnz - np.count_nonzero(ref.toarray())
+    assert kron_zeros > 0
+
+
+def _unskipped_weights(topology, a_plus, a_minus, tau, p, lam, cfg):
+    """optimize_weights's best W with every start running all cfg.sweeps sweeps."""
+    n, ne = topology.grid.n_samples, topology.n_edges
+    lengths = topology.lengths
+    p_eff = min(p, 16.0) if not math.isinf(p) else 16.0
+    weight_lp = _SampleLP(_coupled_matrix(_incidence(topology), n), WEIGHT_BOUND)
+    rhs = np.concatenate([_boundary_matrix(topology, a_plus, a_minus).ravel(order="F"), np.zeros(ne * n)])
+
+    def lp_solve(mass_cost, deriv_grad):
+        split_cost = (lam * n * np.outer(lengths, deriv_grad)).ravel(order="F")
+        x = weight_lp.solve(np.concatenate([mass_cost.ravel(order="F"), split_cost, split_cost]), rhs)
+        assert x is not None
+        return x[:ne * n].reshape((ne, n), order="F")
+
+    rng = np.random.default_rng(cfg.seed)
+    uniform = np.full(n, 1.0 / n)
+    starts = [lp_solve(np.tile(lengths[:, None], (1, n)), uniform)]
+    if np.any(topology.weights > 0):
+        starts.append(topology.weights.copy())
+    for _ in range(max(cfg.multi_start - 1, 0)):
+        jitter = 1.0 + 0.5 * rng.random(ne)
+        starts.append(lp_solve(np.tile((lengths * jitter)[:, None], (1, n)), uniform))
+    best_W, best_val = None, math.inf
+    for W in starts:
+        for sweep in range(cfg.sweeps + 1):
+            if sweep:
+                mass_grad = _norm_gradient(_tau_mass_series(lengths, W, tau), p_eff)
+                deriv_grad = _norm_gradient(_derivative_series(lengths, W), p_eff)
+                W = lp_solve(mass_grad[None, :] * _tau_slope(tau, W, EPS_TAU) * lengths[:, None], deriv_grad)
+            val = _objective(lengths, W, tau, p, lam)
+            if val < best_val - 1e-15:
+                best_W, best_val = W.copy(), val
+    return best_W
+
+
+def test_sweeps_end_at_swept_iterates_without_changing_weights(monkeypatch):
+    # ending a start at an iterate already swept with at least as many sweeps left returns the same
+    # weights bit for bit as running every sweep, with fewer LP solves
+    calls = []
+    real_solve = _SampleLP.solve
+
+    def counting_solve(self, cost, rhs):
+        calls.append(1)
+        return real_solve(self, cost, rhs)
+
+    monkeypatch.setattr(_SampleLP, "solve", counting_solve)
+    rng = np.random.default_rng(24)
+    taus = (power_cost(0.6), tabulated_cost([[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]]))
+    saved = []
+    for n in (1, 2):
+        mu = random_path(rng, n=n, atoms=3)
+        nu = random_path(rng, n=n, atoms=2)
+        for G in (direct_topology(mu, nu), instance_connector_witness(mu, nu, 1),
+                  instance_connector_witness(mu, nu, 2)):
+            for tau in taus:
+                for sweeps, multi_start in ((3, 1), (4, 2), (5, 3)):
+                    cfg = OptimizerConfig(seed=n + sweeps, sweeps=sweeps, multi_start=multi_start)
+                    calls.clear()
+                    ref = _unskipped_weights(G, mu, nu, tau, 2, 0.3, cfg)
+                    ref_calls = len(calls)
+                    calls.clear()
+                    out = optimize_weights(G, mu, nu, tau, 2, 0.3, cfg)
+                    assert out.weights.tobytes() == ref.tobytes()
+                    assert len(calls) <= ref_calls
+                    saved.append(ref_calls - len(calls))
+    assert max(saved) > 0
+
+
 def test_coupled_lp_prices_the_derivative_exactly():
     # the per-sample LPs with the derivative's sign pattern frozen at the last iterate
     # stopped at 3.961 here; one LP over all samples with exact |W(t+1) - W(t)| reaches 1.981
@@ -164,9 +266,9 @@ def test_sample_lp_matches_linprog():
     assert any(outcomes) and not all(outcomes)
 
 
-def test_sample_lp_reuse_is_stateless(monkeypatch):
+def test_sample_lp_reuse_is_stateless():
     # one object answers a shuffled sequence with repeats exactly as a new object per LP and
-    # linprog do, and runs HiGHS once per distinct (cost, rhs)
+    # linprog do
     rng = np.random.default_rng(12)
     mu = random_path(rng, n=2, atoms=3)
     nu = random_path(rng, n=2, atoms=2)
@@ -180,15 +282,6 @@ def test_sample_lp_reuse_is_stateless(monkeypatch):
              G.lengths * rng.uniform(1.0, 1.5, G.n_edges), rng.uniform(-1.0, 1.0, G.n_edges)]
     problems = [(c, r) for c in range(len(costs)) for r in range(len(rhs_cases))]
     infeasible = (0, len(rhs_cases) - 1)
-    runs = []
-    real_solve = _SampleLP._solve
-
-    def counting_solve(self, cost, rhs):
-        runs.append((self, (cost.tobytes(), rhs.tobytes())))
-        return real_solve(self, cost, rhs)
-
-    monkeypatch.setattr(_SampleLP, "_solve", counting_solve)
-
     for ub in (2.0, 0.5):
         refs = {}
         for c, r in problems:
@@ -211,9 +304,6 @@ def test_sample_lp_reuse_is_stateless(monkeypatch):
         for r in range(len(rhs_cases)):
             assert (refs[1, r] is None) == (refs[2, r] is None)
             assert refs[1, r] is None or refs[1, r].tobytes() == refs[2, r].tobytes()
-        keys = [key for owner, key in runs if owner is sample_lp]
-        distinct = {(np.asarray(costs[c], float).tobytes(), rhs_cases[r].tobytes()) for c, r in problems}
-        assert len(keys) == len(set(keys)) == len(distinct) == len(problems) - len(rhs_cases)
 
 
 def test_baseline_upper_returns_finite_energy_and_witness():
