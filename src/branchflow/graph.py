@@ -17,10 +17,11 @@ import networkx as nx
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
-from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, time_derivative
+from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, lp_time_norms, time_derivative
 
 DEFAULT_CYCLE_CAP = 10
 EXHAUSTIVE_LIMIT = 8  # max_order tries every extraction order up to this many cycles
+ORDER_CHUNK = 120  # orders max_order scores per batch; larger batches raise peak memory
 
 
 class CycleExplosionError(RuntimeError):
@@ -74,10 +75,16 @@ class TransportGraph:
 def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
     """Validated constructor: distinct vertices, no self loops, merged duplicates."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if not np.all(np.isfinite(verts)):
+        v = int(np.argwhere(~np.isfinite(verts))[0, 0])
+        raise ValueError(f"non-finite coordinate for vertex {v}: {verts[v].tolist()}")
     if len({tuple(v) for v in verts}) != verts.shape[0]:
         raise ValueError("vertices must be pairwise distinct")
     edge_arr = np.asarray(edges, dtype=int).reshape(-1, 2)
     w = np.asarray(weights, dtype=float).reshape(edge_arr.shape[0], grid.n_samples)
+    if not np.all(np.isfinite(w)):
+        e, j = np.argwhere(~np.isfinite(w))[0]
+        raise ValueError(f"non-finite weight {w[e, j]} for edge {e} at sample {j}")
     if np.any(w < -1e-12):
         raise ValueError("edge weights must be nonnegative")
     w = np.maximum(w, 0.0)
@@ -300,15 +307,38 @@ class EnergyReport:
         }
 
 
+def _order_values(G: TransportGraph, perms: np.ndarray, cycles, p) -> np.ndarray:
+    """The bracket of every row of a (P, I) array of extraction orders.
+
+    Slice k of the (P, E, N) residual is extracted as ``decompose`` would
+    extract order k; the cycle terms are added after the residual norm,
+    in slot order, so each value is bitwise that of the one-row case.
+    """
+    lengths = G.lengths
+    member = np.zeros((len(cycles), G.n_edges), dtype=bool)
+    for ci, cyc in enumerate(cycles):
+        member[ci, list(cyc)] = True
+    cyclens = np.array([float(lengths[list(cyc)].sum()) for cyc in cycles])
+    remaining = np.repeat(G.weights[None], len(perms), axis=0)
+    extracted = []
+    for slot in range(perms.shape[1]):
+        on_cycle = member[perms[:, slot]][:, :, None]
+        w = remaining.min(axis=1, where=on_cycle, initial=np.inf)
+        np.subtract(remaining, w[:, None, :], out=remaining, where=on_cycle)
+        extracted.append(w)
+    if float(remaining.min()) < -1e-12:
+        raise RuntimeError("cycle extraction produced a negative residual")
+    np.clip(remaining, 0.0, None, out=remaining)
+    rates = np.abs(time_derivative(remaining))
+    total = lp_time_norms([lengths @ row for row in rates], p)
+    for slot, w in enumerate(extracted):
+        total += lp_time_norms(np.abs(time_derivative(w)) * cyclens[perms[:, slot], None], p)
+    return total
+
+
 def _bracket(G: TransportGraph, order, cycles, p) -> float:
     """Derivative norm of the residual plus the extracted cycle components."""
-    dec = decompose(G, order, cycles)
-    lengths = G.lengths
-    total = lp_time_norm(_derivative_series(lengths, dec.residual), p)
-    for slot, ci in enumerate(dec.order):
-        cyclen = float(lengths[list(cycles[ci])].sum())
-        total += lp_time_norm(np.abs(time_derivative(dec.extracted[slot])) * cyclen, p)
-    return total
+    return float(_order_values(G, np.array([order]), cycles, p)[0])
 
 
 def _greedy_order(G: TransportGraph, cycles, p) -> tuple[int, ...]:
@@ -333,18 +363,26 @@ def _greedy_order(G: TransportGraph, cycles, p) -> tuple[int, ...]:
 
 
 def max_order(G: TransportGraph, cycles, p):
-    """Energy-maximizing extraction order; exhaustive up to EXHAUSTIVE_LIMIT cycles."""
+    """Energy-maximizing extraction order; exhaustive up to EXHAUSTIVE_LIMIT cycles.
+
+    The exhaustive search scores the permutations in lexicographic order,
+    in batches of at most ORDER_CHUNK, and returns the lexicographically
+    first order that attains the maximum.  Beyond the limit the order is
+    greedy and the flag is False.
+    """
     count = len(cycles)
     if count == 0:
         return (), True
-    if count <= EXHAUSTIVE_LIMIT:
-        best, best_val = None, -1.0
-        for perm in itertools.permutations(range(count)):
-            val = _bracket(G, perm, cycles, p)
-            if val > best_val:
-                best, best_val = perm, val
-        return best, True
-    return _greedy_order(G, cycles, p), False
+    if count > EXHAUSTIVE_LIMIT:
+        return _greedy_order(G, cycles, p), False
+    perms = itertools.permutations(range(count))
+    best, best_val = None, -1.0
+    while chunk := list(itertools.islice(perms, ORDER_CHUNK)):
+        vals = _order_values(G, np.array(chunk), cycles, p)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best, best_val = chunk[k], vals[k]
+    return best, True
 
 
 def energy(G: TransportGraph, tau, p, lam: float, cycle_cap: int = DEFAULT_CYCLE_CAP) -> EnergyReport:
@@ -352,8 +390,10 @@ def energy(G: TransportGraph, tau, p, lam: float, cycle_cap: int = DEFAULT_CYCLE
 
     The bracket is maximized over cycle extraction orders; exhaustively
     for up to ``EXHAUSTIVE_LIMIT`` cycles, greedily beyond (exact_flag
-    False).  For graphs with no strong cycle the result equals
-    m_tau_p + lam * ||G'||.
+    False).  The exhaustive search scores the orders in lexicographic
+    batches of at most ``ORDER_CHUNK``; ``maximizing_order`` is the
+    lexicographically first order attaining the maximum.  For graphs with
+    no strong cycle the result equals m_tau_p + lam * ||G'||.
     """
     _check_p(p)
     if lam <= 0:

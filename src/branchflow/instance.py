@@ -120,6 +120,10 @@ def instance_from_dict(data: dict) -> InstanceFile:
         all_points.append(pts)
     if data.get("graph") is not None:
         all_points.append(np.asarray(data["graph"]["vertices"], dtype=float))
+    for name, pts in zip(("mu_plus", "mu_minus", "graph"), all_points):
+        if not np.all(np.isfinite(pts)):
+            i = int(np.argwhere(~np.isfinite(pts))[0, 0])
+            raise ValueError(f"{name}: non-finite coordinate for point {i}: {pts[i].tolist()}")
     transform = _fit_transform(np.vstack(all_points))
 
     def build_path(name):

@@ -105,6 +105,12 @@ def make_atomic_path(points, weight_table, grid: TimeGrid) -> AtomicMeasurePath:
         raise ValueError(f"{pts.shape[0]} points but {w.shape[0]} weight rows")
     if w.shape[1] != grid.n_samples:
         raise ValueError(f"weight table has {w.shape[1]} columns, grid has {grid.n_samples}")
+    if not np.all(np.isfinite(pts)):
+        i = int(np.argwhere(~np.isfinite(pts))[0, 0])
+        raise ValueError(f"non-finite coordinate for atom {i}: {pts[i].tolist()}")
+    if not np.all(np.isfinite(w)):
+        i, j = np.argwhere(~np.isfinite(w))[0]
+        raise ValueError(f"non-finite weight {w[i, j]} for atom {i} at sample {j}")
     if np.any(w < 0):
         i, j = np.unravel_index(int(np.argmin(w)), w.shape)
         raise ValueError(f"negative weight {w[i, j]:.3e} for atom {i} at sample {j}")
@@ -128,12 +134,24 @@ def derivative_path(a: AtomicMeasurePath) -> SignedAtomicPath:
     return SignedAtomicPath(a.points, time_derivative(a.weights), a.grid)
 
 
+def lp_time_norms(values, p) -> np.ndarray:
+    """Discrete L^p-in-time norm of each row of a (rows, N) array; max for p = inf.
+
+    The root is taken per value with the scalar power: the array power
+    rounds differently, and the batched and one-row norms must agree
+    bitwise.
+    """
+    vals = np.abs(np.asarray(values, dtype=float))
+    if math.isinf(p):
+        return vals.max(axis=-1, initial=0.0)
+    # np.mean's arithmetic without its call overhead: lp_time_norm runs in the weight-LP loop
+    means = np.add.reduce(vals ** p, axis=-1) / vals.shape[-1]
+    return np.array([m ** (1.0 / p) for m in means.tolist()])
+
+
 def lp_time_norm(values, p) -> float:
     """Discrete L^p-in-time norm (left endpoint rule); max for p = inf."""
-    vals = np.asarray(values, dtype=float)
-    if math.isinf(p):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    return float((np.mean(np.abs(vals) ** p)) ** (1.0 / p))
+    return float(lp_time_norms(np.reshape(values, (1, -1)), p)[0])
 
 
 def sobolev_seminorm(a: AtomicMeasurePath, p) -> float:

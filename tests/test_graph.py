@@ -22,14 +22,21 @@ from branchflow import (
     tv_norm,
 )
 from branchflow.graph import (
+    EXHAUSTIVE_LIMIT,
+    ORDER_CHUNK,
     CycleExplosionError,
     TransportGraph,
     _boundary_matrix,
+    _bracket,
+    _greedy_order,
     _incidence,
+    _order_values,
     cancel_antiparallel,
     is_never_cyclic,
+    max_order,
     prune_zero_edges,
 )
+from branchflow.measures import time_derivative
 
 from conftest import cyclic_flow_instance, random_graph
 
@@ -76,6 +83,16 @@ def test_constructor_rejects_self_loop_and_duplicates():
         make_graph([[0.0], [0.0]], [(0, 1)], [[1, 1]], grid)
     with pytest.raises(ValueError, match="nonnegative"):
         make_graph([[0.0], [1.0]], [(0, 1)], [[-0.5, 1]], grid)
+
+
+def test_constructor_rejects_non_finite_input():
+    grid = TimeGrid(2)
+    with pytest.raises(ValueError, match="non-finite weight nan for edge 1 at sample 0"):
+        make_graph([[0.0], [1.0]], [(0, 1), (1, 0)], [[1, 1], [math.nan, 1]], grid)
+    with pytest.raises(ValueError, match="non-finite weight inf for edge 0 at sample 1"):
+        make_graph([[0.0], [1.0]], [(0, 1)], [[1, math.inf]], grid)
+    with pytest.raises(ValueError, match="non-finite coordinate for vertex 1"):
+        make_graph([[0.0], [-math.inf]], [(0, 1)], [[1, 1]], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +372,122 @@ def test_energy_invariant_under_relabeling():
     G2 = make_graph(G.vertices[perm], [new_edges[i] for i in shuffle], G.weights[shuffle], G.grid)
     rep2 = energy(G2, tau, 2, 0.5)
     assert rep2.total == pytest.approx(rep.total, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched order search against the one-order-at-a-time loop
+# ---------------------------------------------------------------------------
+
+def scalar_bracket(G, order, cycles, p):
+    """The bracket of one order, computed as the loop search computed it."""
+
+    def norm(vals):
+        if math.isinf(p):
+            return float(np.max(np.abs(vals)))
+        return float((np.mean(np.abs(vals) ** p)) ** (1.0 / p))
+
+    dec = decompose(G, order, cycles)
+    lengths = G.lengths
+    total = norm(lengths @ np.abs(time_derivative(dec.residual)))
+    for slot, ci in enumerate(dec.order):
+        cyclen = float(lengths[list(cycles[ci])].sum())
+        total += norm(np.abs(time_derivative(dec.extracted[slot])) * cyclen)
+    return total
+
+
+def scalar_max_order(G, cycles, p):
+    """Every order's bracket and the first strict maximum, one order at a time."""
+    best, best_val, values = None, -1.0, []
+    for perm in itertools.permutations(range(len(cycles))):
+        val = scalar_bracket(G, perm, cycles, p)
+        values.append(val)
+        if val > best_val:
+            best, best_val = perm, val
+    return best, values
+
+
+def cycle_ladder(rng, n_cycles, n_samples=8):
+    """Path 0 -> 1 -> ... with a reverse edge on every segment and a triangle on most.
+
+    Each reverse edge closes a 2-cycle and each triangle a 3-cycle through
+    the same forward edge, so the two compete for it and the extraction
+    order changes the bracket.  Weights are random, not balanced.
+    """
+    segments = (n_cycles + 1) // 2
+    vertices = [[float(i), 0.0] for i in range(segments + 1)]
+    edges = [(i, i + 1) for i in range(segments)] + [(i + 1, i) for i in range(segments)]
+    for i in range(n_cycles - segments):
+        vertices.append([i + 0.5, rng.uniform(0.3, 1.0)])
+        edges += [(i + 1, len(vertices) - 1), (len(vertices) - 1, i)]
+    return make_graph(vertices, edges, rng.uniform(0.0, 1.0, size=(len(edges), n_samples)), TimeGrid(n_samples))
+
+
+def disjoint_triangles(rng, n_cycles, n_samples=8):
+    """Congruent edge-disjoint triangles; the first carries constant weights.
+
+    The constant triangle's bracket term is exactly zero, so moving it
+    leaves an order's value bitwise unchanged and every maximum is tied
+    with orders that start with another cycle.
+    """
+    vertices, edges, rows = [], [], []
+    for j in range(n_cycles):
+        base = len(vertices)
+        vertices += [[3.0 * j, 0.0], [3.0 * j + 1.0, 0.0], [3.0 * j, 1.0]]
+        edges += [(base, base + 1), (base + 1, base + 2), (base + 2, base)]
+        rows += [np.full(n_samples, 0.5)] * 3 if j == 0 else list(rng.uniform(0.0, 1.0, size=(3, n_samples)))
+    return make_graph(vertices, edges, np.array(rows), TimeGrid(n_samples))
+
+
+def assert_matches_scalar_loop(G, n_cycles, p):
+    cycles = enumerate_cycles(G)
+    assert len(cycles) == n_cycles
+    best, values = scalar_max_order(G, cycles, p)
+    assert max_order(G, cycles, p) == (best, True)
+    perms = np.array(list(itertools.permutations(range(n_cycles))))
+    assert np.array_equal(_order_values(G, perms, cycles, p), np.array(values))
+    assert _bracket(G, best, cycles, p) == max(values)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, math.inf])
+@pytest.mark.parametrize("n_cycles", range(1, 7))
+def test_max_order_matches_scalar_loop(n_cycles, p):
+    rng = np.random.default_rng(100 + n_cycles)
+    assert_matches_scalar_loop(cycle_ladder(rng, n_cycles), n_cycles, p)
+    assert_matches_scalar_loop(disjoint_triangles(rng, n_cycles), n_cycles, p)
+
+
+def test_max_order_matches_scalar_loop_across_chunks():
+    rng = np.random.default_rng(107)
+    assert math.factorial(7) > ORDER_CHUNK
+    assert_matches_scalar_loop(cycle_ladder(rng, 7), 7, 2)
+
+
+def test_max_order_keeps_the_first_of_orders_tied_across_chunks():
+    G = disjoint_triangles(np.random.default_rng(6), 6)
+    cycles = enumerate_cycles(G)
+    perms = list(itertools.permutations(range(6)))
+    _, values = scalar_max_order(G, cycles, 2)
+    winners = [perm for perm, val in zip(perms, values) if val == max(values)]
+    chunks = {perms.index(perm) // ORDER_CHUNK for perm in winners}
+    assert len(chunks) > 1
+    assert max_order(G, cycles, 2) == (winners[0], True)
+
+
+def test_exhaustive_limit_boundary():
+    rng = np.random.default_rng(8)
+    tau = power_cost(0.6)
+    G = cycle_ladder(rng, EXHAUSTIVE_LIMIT)
+    cycles = enumerate_cycles(G)
+    rep = energy(G, tau, 2, 0.7)
+    assert rep.cycle_count == EXHAUSTIVE_LIMIT and rep.exact_flag
+    assert rep.derivative_term == _bracket(G, rep.maximizing_order, cycles, 2)
+    rivals = [_greedy_order(G, cycles, 2)] + [tuple(rng.permutation(EXHAUSTIVE_LIMIT)) for _ in range(200)]
+    assert all(rep.derivative_term >= _bracket(G, order, cycles, 2) for order in rivals)
+
+    G = cycle_ladder(rng, EXHAUSTIVE_LIMIT + 1)
+    rep = energy(G, tau, 2, 0.7)
+    assert rep.cycle_count == EXHAUSTIVE_LIMIT + 1 and not rep.exact_flag
+    assert rep.maximizing_order == _greedy_order(G, enumerate_cycles(G), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ def test_p_inf_parses():
     data["p"] = "inf"
     inst = instance_from_dict(data)
     assert math.isinf(inst.p)
+
+
+def test_non_finite_values_are_rejected_by_name():
+    data = minimal_instance()
+    data["mu_plus"]["weights"] = [[1.0, math.nan, 1.0, 1.0]]
+    with pytest.raises(ValueError, match="mu_plus: non-finite weight nan for atom 0 at sample 1"):
+        instance_from_dict(data)
+
+    data = minimal_instance()
+    data["mu_minus"]["points"] = [[math.inf]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mu_minus: non-finite coordinate for point 0"):
+            instance_from_dict(data)
+
+    data = single_edge_instance()
+    data["graph"]["weights"] = [[1.0, 1.0, math.nan, 1.0]]
+    with pytest.raises(ValueError, match="non-finite weight nan for edge 0 at sample 2"):
+        instance_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

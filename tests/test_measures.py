@@ -20,6 +20,7 @@ from branchflow.measures import (
     cell_index,
     dyadic_project_signed,
     lp_time_norm,
+    lp_time_norms,
 )
 
 from conftest import random_path
@@ -59,6 +60,14 @@ def test_negative_weight_and_duplicates_rejected():
         make_atomic_path([[0.0], [1.0]], [[1.5, 1.0], [-0.5, 0.0]], grid)
     with pytest.raises(ValueError, match="distinct"):
         make_atomic_path([[0.0], [0.0]], [[0.5, 0.5], [0.5, 0.5]], grid)
+
+
+def test_non_finite_input_rejected():
+    grid = TimeGrid(4)
+    with pytest.raises(ValueError, match="non-finite weight nan for atom 1 at sample 2"):
+        make_atomic_path([[0.0], [1.0]], [[1, 1, 0.5, 1], [0, 0, math.nan, 0]], grid)
+    with pytest.raises(ValueError, match="non-finite coordinate for atom 0"):
+        make_atomic_path([[math.inf]], [[1, 1, 1, 1]], grid)
 
 
 def test_trig_pair_is_valid_periodic_path():
@@ -241,3 +250,14 @@ def test_lp_time_norm_inf_and_finite():
     vals = np.array([1.0, 3.0, 2.0, 0.0])
     assert lp_time_norm(vals, math.inf) == 3.0
     assert lp_time_norm(vals, 2) == pytest.approx((np.mean(vals**2)) ** 0.5)
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3.7, math.inf])
+def test_row_norms_equal_the_one_row_norm_bitwise(p):
+    rows = np.random.default_rng(5).uniform(-2.0, 2.0, size=(200, 8))
+    norms = lp_time_norms(rows, p)
+    assert norms.shape == (200,)
+    assert all(norms[k] == lp_time_norm(row, p) for k, row in enumerate(rows))
+    if not math.isinf(p):
+        # the root of each mean is the scalar power, not the array power
+        assert all(norms[k] == float(np.mean(np.abs(row) ** p) ** (1.0 / p)) for k, row in enumerate(rows))
