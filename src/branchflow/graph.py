@@ -17,7 +17,15 @@ import networkx as nx
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
-from .measures import AtomicMeasurePath, TimeGrid, _freeze, lp_time_norm, lp_time_norms, time_derivative
+from .measures import (
+    AtomicMeasurePath,
+    TimeGrid,
+    _freeze,
+    _require_finite,
+    lp_time_norm,
+    lp_time_norms,
+    time_derivative,
+)
 
 DEFAULT_CYCLE_CAP = 10
 EXHAUSTIVE_LIMIT = 8  # max_order tries every extraction order up to this many cycles
@@ -75,16 +83,12 @@ class TransportGraph:
 def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
     """Validated constructor: distinct vertices, no self loops, merged duplicates."""
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if not np.all(np.isfinite(verts)):
-        v = int(np.argwhere(~np.isfinite(verts))[0, 0])
-        raise ValueError(f"non-finite coordinate for vertex {v}: {verts[v].tolist()}")
+    _require_finite(verts, "vertex")
     if len({tuple(v) for v in verts}) != verts.shape[0]:
         raise ValueError("vertices must be pairwise distinct")
     edge_arr = np.asarray(edges, dtype=int).reshape(-1, 2)
     w = np.asarray(weights, dtype=float).reshape(edge_arr.shape[0], grid.n_samples)
-    if not np.all(np.isfinite(w)):
-        e, j = np.argwhere(~np.isfinite(w))[0]
-        raise ValueError(f"non-finite weight {w[e, j]} for edge {e} at sample {j}")
+    _require_finite(w, "edge", weights=True)
     if np.any(w < -1e-12):
         raise ValueError("edge weights must be nonnegative")
     w = np.maximum(w, 0.0)
@@ -382,6 +386,8 @@ def max_order(G: TransportGraph, cycles, p):
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best, best_val = chunk[k], vals[k]
+    if best is None:  # every bracket is NaN
+        raise ValueError("no extraction order has a finite bracket; weights must be finite")
     return best, True
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import TransportCost, power_cost, tabulated_cost
 from .graph import TransportGraph, make_graph
-from .measures import AtomicMeasurePath, TimeGrid, make_atomic_path
+from .measures import AtomicMeasurePath, TimeGrid, _require_finite, make_atomic_path
 
 NORMALIZED_HALF_EXTENT = 0.95
 
@@ -121,9 +121,10 @@ def instance_from_dict(data: dict) -> InstanceFile:
     if data.get("graph") is not None:
         all_points.append(np.asarray(data["graph"]["vertices"], dtype=float))
     for name, pts in zip(("mu_plus", "mu_minus", "graph"), all_points):
-        if not np.all(np.isfinite(pts)):
-            i = int(np.argwhere(~np.isfinite(pts))[0, 0])
-            raise ValueError(f"{name}: non-finite coordinate for point {i}: {pts[i].tolist()}")
+        try:
+            _require_finite(pts, "point")
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
     transform = _fit_transform(np.vstack(all_points))
 
     def build_path(name):

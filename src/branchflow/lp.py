@@ -7,16 +7,26 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.sparse import csc_array
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
-    raise ImportError("branchflow needs SciPy >= 1.17.1, whose scipy.optimize._highspy._core "
-                      "holds the HiGHS bindings the weight LPs and the transport solver use") from exc
+
+@functools.cache
+def _bindings():
+    """SciPy's HiGHS bindings, loaded with the first LP.
+
+    Importing them loads all of ``scipy.optimize`` (about 27 MB resident),
+    which the graph, energy and instance code never needs.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
+        raise ImportError("branchflow needs SciPy >= 1.17.1, whose scipy.optimize._highspy._core "
+                          "holds the HiGHS bindings the weight LPs and the transport solver use") from exc
+    return _core
 
 
 class _SampleLP:
@@ -40,6 +50,7 @@ class _SampleLP:
     _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
 
     def __init__(self, B: np.ndarray, ub: float):
+        _highs = _bindings()
         A = csc_array(B)
         nv, ne = B.shape
         lp = _highs.HighsLp()
@@ -72,7 +83,7 @@ class _SampleLP:
         self._lp.col_cost_ = cost
         self._lp.row_lower_ = rhs
         self._lp.row_upper_ = rhs
-        h = self._highs
+        h, _highs = self._highs, _bindings()
         if (h.passModel(self._lp) == _highs.HighsStatus.kError or h.run() == _highs.HighsStatus.kError
                 or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
             return None

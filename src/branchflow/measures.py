@@ -48,6 +48,20 @@ def _freeze(arr, dtype=float) -> np.ndarray:
     return arr
 
 
+def _require_finite(table: np.ndarray, row: str, weights: bool = False) -> None:
+    """Raise ValueError naming the first non-finite entry of a 2-D table.
+
+    ``row`` names what a row is ("atom", "edge", ...).  A weight table's
+    entry is named by row and sample, a coordinate table's by its row.
+    """
+    if np.isfinite(table).all():
+        return
+    i, j = (int(k) for k in np.argwhere(~np.isfinite(table))[0])
+    if weights:
+        raise ValueError(f"non-finite weight {table[i, j]} for {row} {i} at sample {j}")
+    raise ValueError(f"non-finite coordinate for {row} {i}: {table[i].tolist()}")
+
+
 @dataclass(frozen=True)
 class AtomicMeasurePath:
     """Fixed atoms with nonnegative periodic weight trajectories summing to 1."""
@@ -105,12 +119,8 @@ def make_atomic_path(points, weight_table, grid: TimeGrid) -> AtomicMeasurePath:
         raise ValueError(f"{pts.shape[0]} points but {w.shape[0]} weight rows")
     if w.shape[1] != grid.n_samples:
         raise ValueError(f"weight table has {w.shape[1]} columns, grid has {grid.n_samples}")
-    if not np.all(np.isfinite(pts)):
-        i = int(np.argwhere(~np.isfinite(pts))[0, 0])
-        raise ValueError(f"non-finite coordinate for atom {i}: {pts[i].tolist()}")
-    if not np.all(np.isfinite(w)):
-        i, j = np.argwhere(~np.isfinite(w))[0]
-        raise ValueError(f"non-finite weight {w[i, j]} for atom {i} at sample {j}")
+    _require_finite(pts, "atom")
+    _require_finite(w, "atom", weights=True)
     if np.any(w < 0):
         i, j = np.unravel_index(int(np.argmin(w)), w.shape)
         raise ValueError(f"negative weight {w[i, j]:.3e} for atom {i} at sample {j}")

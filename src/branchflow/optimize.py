@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  no longer called; bench/tracing.py traces this name
 from scipy.sparse import coo_array
 
 from . import wasserstein
@@ -58,6 +57,15 @@ STALL_LIMIT = 50  # consecutive non-improving moves that end the search
 EPS_TAU = 1e-6  # weights below this take tau's slope at this value
 WEIGHT_BOUND = 2.0  # upper bound of every weight-LP column
 DIRECT_MAX_ATOMS = 12  # largest support union that direct_topology connects completely
+
+
+def __getattr__(name):
+    # ``optimize.linprog`` stays importable (bench/tracing.py traces this name) but is no
+    # longer called; loading it on access keeps scipy.optimize out of ``import branchflow``
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

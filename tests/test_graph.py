@@ -95,6 +95,15 @@ def test_constructor_rejects_non_finite_input():
         make_graph([[0.0], [-math.inf]], [(0, 1)], [[1, 1]], grid)
 
 
+def test_energy_rejects_a_directly_built_graph_with_a_nan_weight():
+    # TransportGraph does not check finiteness; the order search must say why it finds no order
+    weights = [[1.0, 1.0], [math.nan, 1.0], [1.0, 1.0]]
+    G = TransportGraph(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0, 1), (1, 2), (2, 0)],
+                       weights, TimeGrid(2))
+    with pytest.raises(ValueError, match="no extraction order has a finite bracket"):
+        energy(G, power_cost(0.5), 2, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # balance
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import branchflow
 from branchflow import (
     OptimizerConfig,
     TimeGrid,
@@ -264,6 +269,15 @@ def test_sample_lp_matches_linprog():
                             assert np.array_equal(x, res.x)
                         outcomes.append(res.success)
     assert any(outcomes) and not all(outcomes)
+
+
+def test_import_leaves_the_lp_bindings_unloaded():
+    # scipy.optimize (HiGHS) loads with the first LP, not with the package
+    src = Path(branchflow.__file__).resolve().parents[1]
+    probe = ("import sys, branchflow; from branchflow import optimize; "
+             "assert 'scipy.optimize' not in sys.modules; optimize.linprog; "
+             "assert 'scipy.optimize' in sys.modules")
+    subprocess.run([sys.executable, "-c", probe], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_sample_lp_reuse_is_stateless():
