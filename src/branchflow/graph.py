@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import coo_array, csc_array
 
@@ -57,6 +56,8 @@ class TransportGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", _freeze(np.atleast_2d(self.vertices)))
         edges = np.asarray(self.edges, dtype=int).reshape(-1, 2)
+        if np.any((edges < 0) | (edges >= self.vertices.shape[0])):
+            raise ValueError("edge endpoint out of range")
         object.__setattr__(self, "edges", _freeze(edges, dtype=int))
         w = np.asarray(self.weights, dtype=float).reshape(len(edges), self.grid.n_samples)
         object.__setattr__(self, "weights", _freeze(w))
@@ -97,8 +98,6 @@ def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
     for (t, h), row in zip(map(tuple, edge_arr), w):
         if t == h:
             raise ValueError(f"self loop at vertex {t}")
-        if t < 0 or h < 0 or t >= verts.shape[0] or h >= verts.shape[0]:
-            raise ValueError("edge endpoint out of range")
         if (t, h) in merged:
             merged[(t, h)] = merged[(t, h)] + row
         else:
@@ -235,26 +234,54 @@ def derivative_lp_norm(G: TransportGraph, p) -> float:
 def enumerate_cycles(G: TransportGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[tuple[int, ...]]:
     """All simple directed cycles as edge-index tuples, deterministic order.
 
-    Includes 2-cycles from anti-parallel edge pairs.  Raises
-    CycleExplosionError when more than ``cap`` cycles exist.
+    Includes 2-cycles from anti-parallel edge pairs, 1-cycles from self
+    loops, and one cycle per choice among parallel edges.  Each cycle
+    starts at its smallest edge index; the list is sorted by the sorted
+    edge indices.  Raises CycleExplosionError when more than ``cap``
+    cycles exist.
+
+    Johnson's circuit search (Johnson 1975, SIAM J. Comput. 4(1)) on the
+    edge indices: from each start vertex s, a depth-first walk over
+    vertices >= s closes a cycle on every edge back into s.  A vertex
+    stays blocked while every path from it back to s meets the walk.
     """
-    if G.n_edges == 0:
-        return []
-    dg = nx.DiGraph()
-    dg.add_nodes_from(range(G.vertices.shape[0]))
-    edge_id = {}
-    for e, (t, h) in enumerate(G.edges):
-        dg.add_edge(int(t), int(h))
-        edge_id[(int(t), int(h))] = e
+    out: list[list[tuple[int, int]]] = [[] for _ in range(G.vertices.shape[0])]
+    for e, (t, h) in enumerate(G.edges.tolist()):
+        out[t].append((h, e))
     cycles = []
-    for nodes in nx.simple_cycles(dg):
-        ring = list(nodes) + [nodes[0]]
-        eidx = [edge_id[(ring[i], ring[i + 1])] for i in range(len(nodes))]
-        # canonical rotation: start at the smallest edge index
-        pivot = eidx.index(min(eidx))
-        cycles.append(tuple(eidx[pivot:] + eidx[:pivot]))
-        if len(cycles) > cap:
-            raise CycleExplosionError(len(cycles), cap)
+    for start in range(len(out)):
+        blocked, blocked_by, path = {start}, {}, []  # path: edge indices of the walk
+        walk = [[start, iter(out[start]), False]]  # vertex, out-edges left, closed a cycle
+        while walk:
+            frame = walk[-1]
+            for w, e in frame[1]:
+                if w == start:
+                    ring = path + [e]
+                    pivot = ring.index(min(ring))
+                    cycles.append(tuple(ring[pivot:] + ring[:pivot]))
+                    if len(cycles) > cap:
+                        raise CycleExplosionError(len(cycles), cap)
+                    frame[2] = True
+                elif w > start and w not in blocked:
+                    path.append(e)
+                    blocked.add(w)
+                    walk.append([w, iter(out[w]), False])
+                    break
+            else:
+                v, _, closed = walk.pop()
+                if closed:  # unblock v and every vertex waiting on it
+                    stack = [v]
+                    while stack:
+                        u = stack.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            stack.extend(blocked_by.pop(u, ()))
+                else:
+                    for w, _ in out[v]:
+                        blocked_by.setdefault(w, set()).add(v)
+                if walk:
+                    path.pop()
+                    walk[-1][2] |= closed
     cycles.sort(key=lambda c: tuple(sorted(c)))
     return cycles
 
@@ -437,10 +464,24 @@ def prune_zero_edges(G: TransportGraph, tol: float = 1e-15) -> TransportGraph:
 
 
 def is_never_cyclic(G: TransportGraph, tol: float = 1e-12, cap: int = DEFAULT_CYCLE_CAP) -> bool:
-    """True when no simple cycle has all its weights positive at some sample."""
-    for cyc in enumerate_cycles(G, cap=cap):
-        if float(G.weights[list(cyc)].min(axis=0).max()) > tol:
+    """True when no simple cycle has all its weights above tol at some sample.
+
+    Equivalently, at every sample the edges with weight > tol form an
+    acyclic graph.  All samples are peeled at once: an edge whose tail has
+    no in-edge left at that sample lies on no cycle and is dropped.  What
+    survives the peel is exactly what lies on or downstream of a cycle.
+    ``cap`` is unused; no cycle list is built, so this never raises
+    CycleExplosionError.
+    """
+    tails, heads = G.edges.T
+    active = G.weights > tol
+    while active.any():
+        fed = np.zeros((G.vertices.shape[0], G.grid.n_samples), dtype=bool)
+        np.logical_or.at(fed, heads, active)
+        kept = active & fed[tails]
+        if np.array_equal(kept, active):
             return False
+        active = kept
     return True
 
 

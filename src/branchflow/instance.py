@@ -10,6 +10,7 @@ identity.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,14 +62,15 @@ class InstanceFile:
     raw: dict
 
 
-def _schema():
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """The instance schema's validator, built once per process."""
     text = resources.files("branchflow.schemas").joinpath("instance.schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def _validate_schema(data: dict):
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         lines = []
         for err in errors[:8]:

@@ -418,7 +418,7 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
             patch.grid,
         )
         witness = cancel_antiparallel(merge_graphs(witness.grid, witness, reversed_patch))
-        if not is_never_cyclic(witness, cap=SEARCH_CYCLE_CAP):
+        if not is_never_cyclic(witness):
             witness = strip_strong_cycles(witness, p, cycle_cap=SEARCH_CYCLE_CAP)
     if witness.n_edges:
         upper = energy(witness, tau, p, lam, cycle_cap=SEARCH_CYCLE_CAP).total

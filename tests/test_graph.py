@@ -95,6 +95,17 @@ def test_constructor_rejects_non_finite_input():
         make_graph([[0.0], [-math.inf]], [(0, 1)], [[1, 1]], grid)
 
 
+def test_direct_constructor_rejects_endpoints_out_of_range():
+    grid = TimeGrid(2)
+    verts = [[0.0], [1.0]]
+    for edges in ([(0, 2)], [(-1, 1)], [(0, 1), (2, 0)]):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            TransportGraph(verts, edges, np.ones((len(edges), 2)), grid)
+    with pytest.raises(ValueError, match="edge endpoint out of range"):
+        make_graph(verts, [(0, -1)], [[1, 1]], grid)
+    assert TransportGraph(np.zeros((0, 1)), np.zeros((0, 2), dtype=int), np.zeros((0, 2)), grid).n_edges == 0
+
+
 def test_energy_rejects_a_directly_built_graph_with_a_nan_weight():
     # TransportGraph does not check finiteness; the order search must say why it finds no order
     weights = [[1.0, 1.0], [math.nan, 1.0], [1.0, 1.0]]
@@ -266,6 +277,56 @@ def test_cycle_cap_explosion():
     G = make_graph(pts, edges, np.ones((len(edges), 2)), grid)
     with pytest.raises(CycleExplosionError):
         enumerate_cycles(G, cap=10)
+
+
+def brute_force_cycles(edges, n_vertices):
+    """Every edge sequence that closes a walk through distinct vertices, started at its least edge."""
+    found = []
+    for k in range(1, n_vertices + 1):
+        for seq in itertools.permutations(range(len(edges)), k):
+            tails = [edges[e][0] for e in seq]
+            closes = all(edges[seq[i]][1] == tails[(i + 1) % k] for i in range(k))
+            if closes and len(set(tails)) == k and seq[0] == min(seq):
+                found.append(seq)
+    return sorted(found, key=lambda c: tuple(sorted(c)))
+
+
+def test_parallel_edges_each_close_their_own_cycle():
+    # a directly built graph may repeat an edge; the zero-weight copy of 0->1 still closes a cycle
+    G = TransportGraph(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), [(0, 1), (1, 2), (2, 0), (0, 1)],
+                       [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]], TimeGrid(2))
+    assert enumerate_cycles(G) == [(0, 1, 2), (1, 2, 3)]
+    assert not is_never_cyclic(G)
+    assert energy(G, power_cost(0.5), 2, 1.0).cycle_count == 2
+
+
+def test_cycles_and_acyclicity_match_brute_force_on_multigraphs():
+    # parallel and anti-parallel edges and self loops, as TransportGraph admits them
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n_vertices = int(rng.integers(1, 5))
+        edges = [tuple(int(x) for x in rng.integers(n_vertices, size=2)) for _ in range(rng.integers(0, 9))]
+        weights = rng.choice([0.0, 1e-13, 0.5], size=(len(edges), 3))
+        G = TransportGraph(rng.normal(size=(n_vertices, 2)), np.array(edges, dtype=int).reshape(-1, 2),
+                           weights, TimeGrid(3))
+        expected = brute_force_cycles(edges, n_vertices)
+        assert enumerate_cycles(G, cap=len(expected)) == expected
+        if expected:
+            with pytest.raises(CycleExplosionError):
+                enumerate_cycles(G, cap=len(expected) - 1)
+        strong = any(weights[list(c)].min(axis=0).max() > 1e-12 for c in expected)
+        assert is_never_cyclic(G) == (not strong)
+
+
+def test_never_cyclic_needs_no_cycle_cap():
+    # the complete digraph of test_cycle_cap_explosion has hundreds of cycles
+    grid = TimeGrid(2)
+    pts = np.column_stack([np.arange(6.0), np.zeros(6)])
+    edges = [(i, j) for i in range(6) for j in range(6) if i != j]
+    weights = np.ones((len(edges), 2))
+    assert not is_never_cyclic(make_graph(pts, edges, weights, grid))
+    weights[[j < i for i, j in edges]] = 0.0  # only edges i -> j > i carry weight
+    assert is_never_cyclic(make_graph(pts, edges, weights, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,15 @@ def test_import_leaves_the_lp_bindings_unloaded():
     subprocess.run([sys.executable, "-c", probe], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def test_import_loads_no_graph_library_and_no_lp_bindings():
+    src = Path(branchflow.__file__).resolve().parents[1]
+    probe = ("import sys, branchflow; "
+             "print([m for m in ('networkx', 'scipy.sparse.csgraph', 'scipy.optimize') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[]"
+
+
 def test_sample_lp_reuse_is_stateless():
     # one object answers a shuffled sequence with repeats exactly as a new object per LP and
     # linprog do
