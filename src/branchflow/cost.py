@@ -38,6 +38,8 @@ class TransportCost:
     alpha: float | None = None
     samples: np.ndarray | None = None
     witness: np.ndarray | None = field(default=None, repr=False)
+    # check_admissible's (ok, diag) by dimension; the cost is frozen, so the answer is too
+    _admissible: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("power", "tabulated"):
@@ -147,10 +149,17 @@ def check_admissible(tau: TransportCost, n: int) -> tuple[bool, str]:
     Power costs use the closed-form criterion alpha > 1 - 1/n.  Tabulated
     costs need a witness; convergence is probed on geometric shells down
     to 1e-12, declaring divergence when shell contributions stop
-    decaying (the slope of beta near 0 is too shallow).
+    decaying (the slope of beta near 0 is too shallow).  The answer is
+    computed once per cost and dimension and kept on the cost.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if n not in tau._admissible:
+        tau._admissible[n] = _decide_admissible(tau, n)
+    return tau._admissible[n]
+
+
+def _decide_admissible(tau: TransportCost, n: int) -> tuple[bool, str]:
     if tau.kind == "power":
         threshold = 1.0 - 1.0 / n
         ok = tau.alpha > threshold

@@ -183,14 +183,21 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
     # |W(t+1) - W(t)| <= WEIGHT_BOUND, so the bound also fits the split columns u, v
     weight_lp = _SampleLP(_coupled_matrix(_incidence(topology), n), WEIGHT_BOUND)
     rhs = np.concatenate([_boundary_matrix(topology, a_plus, a_minus).ravel(order="F"), np.zeros(ne * n)])
+    # rhs is fixed for the call and the same (c, b) always gives the same x, so a cost
+    # seen before (two iterates can price alike) returns its earlier optimum
+    solved: dict[bytes, np.ndarray] = {}
 
     def lp_solve(mass_cost, deriv_grad):
         """Minimize <mass_cost, W> + lam * sum_t deriv_grad[t] * sum_e len_e * |N (W(t+1) - W(t))|."""
         split_cost = (lam * n * np.outer(lengths, deriv_grad)).ravel(order="F")
-        x = weight_lp.solve(np.concatenate([mass_cost.ravel(order="F"), split_cost, split_cost]), rhs)
-        if x is None:
-            raise ValueError("infeasible topology")
-        return x[:ne * n].reshape((ne, n), order="F")
+        cost = np.concatenate([mass_cost.ravel(order="F"), split_cost, split_cost])
+        key = cost.tobytes()
+        if key not in solved:
+            x = weight_lp.solve(cost, rhs)
+            if x is None:
+                raise ValueError("infeasible topology")
+            solved[key] = x[:ne * n].reshape((ne, n), order="F")
+        return solved[key]
 
     # start 0: pure consolidation along shortest routes; the derivative counts uniformly in time
     uniform = np.full(n, 1.0 / n)

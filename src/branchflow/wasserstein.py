@@ -4,6 +4,12 @@ certified lower bound for the transport distance.
 The primal route solves the balanced transport problem between the
 positive and negative parts of the difference as a transportation LP on
 the complete bipartite support graph, with HiGHS (``lp._SampleLP``).
+Its constraint matrix depends only on the atom counts (m, l), so one
+LP per (m, l) serves every sample of a path norm, and both path norms
+of ``lower_bound_terms``; all of them run on one HiGHS solver.
+Presolve is off: only the optimal value is used, and it is unique, so
+any optimal vertex gives it, and each solve returns what
+``linprog(..., method="highs", options={"presolve": False})`` returns.
 The Lipschitz-potential dual of the same problem, solved through
 ``scipy.optimize.linprog``, serves as the verification route
 (``lid1_dual_lp``).
@@ -52,20 +58,36 @@ def _merge_difference(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure):
     return pts[keep], d[keep]
 
 
-def _min_cost_transport(p_pts, p_mass, q_pts, q_mass) -> float:
-    """Exact balanced transport cost, as a transportation LP on HiGHS.
+def _transport_solver(solvers: dict, m: int, l: int) -> _SampleLP:
+    """The presolve-free transport LP for m sources and l sinks, built once per solvers dict.
 
     The flow from source i to sink j is column i*l + j of the complete
     bipartite incidence; its rows fix each source's supply and each
-    sink's demand.
+    sink's demand.  All shapes in one dict run on the first one's HiGHS
+    solver, so a lower bound holds one solver's workspace, not one per
+    shape.
+    """
+    lp = solvers.get((m, l))
+    if lp is None:
+        rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)])
+        B = csc_array((np.ones(2 * m * l), rows.ravel(), np.arange(0, 2 * m * l + 1, 2)), shape=(m + l, m * l))
+        lp = solvers[m, l] = _SampleLP(B, np.inf, presolve=False, share=next(iter(solvers.values()), None))
+    return lp
+
+
+def _min_cost_transport(p_pts, p_mass, q_pts, q_mass, solvers: dict) -> float:
+    """Exact balanced transport cost, as a transportation LP on HiGHS.
+
+    The LP comes from ``solvers``, keyed by the atom counts (m, l), and
+    is solved without presolve: the optimal value is unique, and the
+    result is that of ``linprog(..., method="highs",
+    options={"presolve": False})`` bit for bit.
     """
     m, l = len(p_mass), len(q_mass)
     if m == 0 or l == 0:
         return 0.0
     cost = np.linalg.norm(p_pts[:, None, :] - q_pts[None, :, :], axis=2)
     demand = q_mass * (p_mass.sum() / q_mass.sum())  # remove the residual imbalance exactly
-    rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)])
-    B = csc_array((np.ones(2 * m * l), rows.ravel(), np.arange(0, 2 * m * l + 1, 2)), shape=(m + l, m * l))
     rhs = np.concatenate([p_mass, demand])
     # HiGHS's primal and dual feasibility tolerances are absolute (1e-7): on unit-scale
     # data it may leave a supply below 1e-7 unmoved, or stop at a plan up to 1e-7 per
@@ -73,18 +95,19 @@ def _min_cost_transport(p_pts, p_mass, q_pts, q_mass) -> float:
     # the largest mass in [2**19, 2**20), which shrinks both slacks to about 1e-13 of the
     # largest value while rounding (about 2**-32) stays well inside the tolerances.
     cost_exp, mass_exp = (20 - np.frexp(v.max())[1] for v in (cost, rhs))
-    x = _SampleLP(B, np.inf).solve(np.ldexp(cost.ravel(), cost_exp), np.ldexp(rhs, mass_exp))
+    x = _transport_solver(solvers, m, l).solve(np.ldexp(cost.ravel(), cost_exp), np.ldexp(rhs, mass_exp))
     if x is None:
         raise RuntimeError("transport LP failed")
     return float(np.ldexp(np.sum(x.reshape(m, l) * cost), -mass_exp))
 
 
-def lid1(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
+def lid1(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure, solvers: dict | None = None) -> float:
     """Transport distance between equal-total atomic measures.
 
     Splits the difference into positive and negative parts and solves
     the balanced problem between them exactly; zero iff the measures
-    coincide.
+    coincide.  ``solvers`` holds the transport LPs by atom counts; pass
+    one dict to share them across calls.
     """
     if abs(m1.total() - m2.total()) > BALANCE_TOL:
         raise ValueError(f"totals differ: {m1.total()} vs {m2.total()}")
@@ -96,7 +119,7 @@ def lid1(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
     q_pts, q_mass = pts[~pos], -d[~pos]
     if p_mass.sum() <= ATOM_TOL or q_mass.sum() <= ATOM_TOL:
         return 0.0
-    return _min_cost_transport(p_pts, p_mass, q_pts, q_mass)
+    return _min_cost_transport(p_pts, p_mass, q_pts, q_mass, {} if solvers is None else solvers)
 
 
 def lid1_dual_lp(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
@@ -123,14 +146,19 @@ def lid1_dual_lp(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
     return float(-res.fun)
 
 
-def lid1_path_norm(A, B, p) -> float:
-    """Discrete L^p-in-time norm of the per-sample transport distance."""
+def lid1_path_norm(A, B, p, solvers: dict | None = None) -> float:
+    """Discrete L^p-in-time norm of the per-sample transport distance.
+
+    The samples share one transport solver per atom-count pair, kept in
+    ``solvers`` (a new dict when None).
+    """
     if A.grid.n_samples != B.grid.n_samples:
         raise ValueError("time grids do not match")
     n = A.grid.n_samples
+    solvers = {} if solvers is None else solvers
     vals = np.zeros(n)
     for j in range(n):
-        vals[j] = lid1(measure_at(A, j), measure_at(B, j))
+        vals[j] = lid1(measure_at(A, j), measure_at(B, j), solvers=solvers)
     return lp_time_norm(vals, p)
 
 
@@ -159,8 +187,9 @@ def lower_bound_terms(mu_plus, mu_minus, tau, p, lam) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r = rho(tau, 1.0)
-        mass_term = lid1_path_norm(mu_plus, mu_minus, p)
-        deriv_term = lid1_path_norm(derivative_path(mu_plus), derivative_path(mu_minus), p)
+        solvers = {}  # the transport LPs by atom counts, shared by both terms
+        mass_term = lid1_path_norm(mu_plus, mu_minus, p, solvers)
+        deriv_term = lid1_path_norm(derivative_path(mu_plus), derivative_path(mu_minus), p, solvers)
     return {
         "rho": r,
         "lid1_mass_term": mass_term,

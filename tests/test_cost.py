@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchflow import check_admissible, eval_cost, power_cost, rho, tabulated_cost
+from branchflow import cost, check_admissible, eval_cost, power_cost, rho, tabulated_cost
 
 
 def test_power_eval_examples():
@@ -88,6 +88,27 @@ def test_admissible_tabulated_flat_witness_diverges():
     ok, diag = check_admissible(tau, 2)
     assert not ok
     assert "diverges" in diag
+
+
+def test_admissible_decided_once_per_cost_and_dimension(monkeypatch):
+    decided = []
+    real = cost._decide_admissible
+
+    def counting(tau, n):
+        decided.append(n)
+        return real(tau, n)
+
+    monkeypatch.setattr(cost, "_decide_admissible", counting)
+    table = [[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]]
+    tau, twin = tabulated_cost(table, witness=table), tabulated_cost(table, witness=table)
+    answers = [check_admissible(tau, n) for n in (2, 2, 1, 2, 1)]
+    assert decided == [2, 1]
+    assert answers[0] == answers[1] == answers[3] and answers[2] == answers[4]
+    assert check_admissible(twin, 2) == answers[0] and decided == [2, 1, 2]
+    # the memo is invisible: equality and repr see only the public fields
+    power, fresh = power_cost(0.6), power_cost(0.6)
+    check_admissible(power, 3)
+    assert power == fresh and repr(power) == repr(fresh) and repr(tau) == repr(twin)
 
 
 def test_rho_examples():

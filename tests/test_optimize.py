@@ -226,6 +226,38 @@ def test_sweeps_end_at_swept_iterates_without_changing_weights(monkeypatch):
     assert max(saved) > 0
 
 
+def test_weight_lp_solves_each_distinct_cost_once(monkeypatch):
+    # two starts can reach iterates that price alike; within one call each distinct cost goes
+    # to HiGHS once, and the weights are those of running every sweep of every start
+    costs = []
+    real_solve = _SampleLP.solve
+
+    def counting_solve(self, cost, rhs):
+        costs.append(np.asarray(cost).tobytes())
+        return real_solve(self, cost, rhs)
+
+    monkeypatch.setattr(_SampleLP, "solve", counting_solve)
+    rng = np.random.default_rng(30)
+    repeated = 0
+    for n in (1, 2):
+        mu = random_path(rng, n=n, atoms=3)
+        nu = random_path(rng, n=n, atoms=2)
+        for G in (direct_topology(mu, nu), instance_connector_witness(mu, nu, 1),
+                  instance_connector_witness(mu, nu, 2)):
+            for tau in (power_cost(0.8), power_cost(0.6)):
+                cfg = OptimizerConfig(seed=30, sweeps=2, multi_start=2)
+                costs.clear()
+                ref = _unskipped_weights(G, mu, nu, tau, 2, 0.3, cfg)
+                ref_costs = list(costs)
+                costs.clear()
+                out = optimize_weights(G, mu, nu, tau, 2, 0.3, cfg)
+                assert len(costs) == len(set(costs))
+                assert set(costs) <= set(ref_costs)
+                assert out.weights.tobytes() == ref.tobytes()
+                repeated += len(ref_costs) - len(set(ref_costs))
+    assert repeated > 0
+
+
 def test_coupled_lp_prices_the_derivative_exactly():
     # the per-sample LPs with the derivative's sign pattern frozen at the last iterate
     # stopped at 3.961 here; one LP over all samples with exact |W(t+1) - W(t)| reaches 1.981
@@ -344,6 +376,20 @@ def test_baseline_upper_warns_for_inadmissible_cost():
     nu = random_path(rng, n=2, atoms=2)
     with pytest.warns(UserWarning, match="admissible"):
         baseline_upper(mu, nu, power_cost(0.4), 2, 0.5, 2)
+
+
+def test_baseline_upper_warns_on_every_call():
+    # the admissibility answer is kept on the cost; the warning is not
+    rng = np.random.default_rng(1)
+    mu = random_path(rng, n=2, atoms=3)
+    nu = random_path(rng, n=2, atoms=2)
+    tau = power_cost(0.4)
+    messages = []
+    for k in (1, 2, 3):
+        with pytest.warns(UserWarning, match="admissible") as caught:
+            baseline_upper(mu, nu, tau, 2, 0.5, k)
+        messages.append([str(w.message) for w in caught])
+    assert messages[0] == messages[1] == messages[2] and len(messages[0]) == 1
 
 
 def test_instance_connector_witness_feasible():

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,9 @@ from branchflow import (
     make_atomic_path,
     power_cost,
 )
-from branchflow.wasserstein import lid1_dual_lp, lower_bound_terms, measure_at
+from branchflow import wasserstein
+from branchflow.lp import _SampleLP
+from branchflow.wasserstein import _merge_difference, lid1_dual_lp, lower_bound_terms, measure_at
 
 from conftest import random_path
 
@@ -210,3 +213,115 @@ def test_lower_bound_includes_derivative_term():
     deriv_norm = lid1_path_norm(derivative_path(a), derivative_path(b), 2)
     assert deriv_norm > 0
     assert lb1 - lb0 == pytest.approx(2.0 * deriv_norm, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the transport LP: one presolve-free solver per atom-count pair
+# ---------------------------------------------------------------------------
+
+def _transport_matrix(m, l):
+    """Complete bipartite incidence: column i*l + j moves mass from source i to sink j."""
+    B = np.zeros((m + l, m * l))
+    for i in range(m):
+        for j in range(l):
+            B[i, i * l + j] = B[m + j, i * l + j] = 1.0
+    return B
+
+
+def test_transport_lp_without_presolve_matches_linprog():
+    # bit for bit what linprog returns with presolve off, on unit-scale and on lid1's
+    # power-of-two-scaled data
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        m, l = (int(k) for k in rng.integers(1, 15, size=2))
+        B = _transport_matrix(m, l)
+        supply, demand = rng.uniform(0.05, 1.0, size=m), rng.uniform(0.05, 1.0, size=l)
+        demand *= supply.sum() / demand.sum()
+        cost = rng.uniform(0.0, 2.0, size=m * l)
+        sample_lp = _SampleLP(B, np.inf, presolve=False)
+        for c, rhs in ((cost, np.concatenate([supply, demand])),
+                       (np.ldexp(cost, 19), np.ldexp(np.concatenate([supply, demand]), 20))):
+            x = sample_lp.solve(c, rhs)
+            res = linprog(c=c, A_eq=B, b_eq=rhs, bounds=(0.0, None), method="highs",
+                          options={"presolve": False})
+            assert res.success and x is not None
+            assert np.array_equal(x, res.x)
+
+
+def _atom_counts(A, B):
+    """(m, l) of every sample's transport LP: the signs of the merged difference."""
+    keys = []
+    for j in range(A.grid.n_samples):
+        _, d = _merge_difference(measure_at(A, j), measure_at(B, j))
+        keys.append((int(np.sum(d > 0)), int(np.sum(d < 0))))
+    return keys
+
+
+def test_lower_bound_terms_builds_one_transport_solver_per_atom_count_pair(monkeypatch):
+    built = []
+
+    class CountingLP(_SampleLP):
+        def __init__(self, B, ub, presolve=True, share=None):
+            built.append(presolve)
+            super().__init__(B, ub, presolve, share)
+
+    rng = np.random.default_rng(41)
+    mu = random_path(rng, n=2, atoms=12, n_samples=8)
+    nu = random_path(rng, n=2, atoms=14, n_samples=8)
+    expected = lower_bound_terms(mu, nu, power_cost(0.8), 2, 0.1)
+    monkeypatch.setattr(wasserstein, "_SampleLP", CountingLP)
+    assert lower_bound_terms(mu, nu, power_cost(0.8), 2, 0.1) == expected
+    shapes = _atom_counts(mu, nu) + _atom_counts(derivative_path(mu), derivative_path(nu))
+    assert len(shapes) == 16 and len(set(shapes)) < 16
+    assert len(built) == len(set(shapes))
+    assert not any(built)
+
+
+def test_transport_shapes_sharing_one_solver_match_a_solver_each():
+    # every shape of one dict runs on one HiGHS solver; each lid1 must equal a lone solver's
+    rng = np.random.default_rng(44)
+    solvers = {}
+    for _ in range(80):
+        k1, k2, n = (int(k) for k in rng.integers((1, 1, 1), (9, 9, 3)))
+        m1, m2 = _pair_with_single_atom_sides(rng, k1, k2, n)
+        assert lid1(m1, m2, solvers=solvers).hex() == lid1(m1, m2).hex()
+    assert len({lp._highs for lp in solvers.values()}) == 1 and len(solvers) > 20
+
+
+def test_sample_lp_share_needs_the_same_presolve():
+    B = _transport_matrix(2, 3)
+    with pytest.raises(ValueError, match="presolve"):
+        _SampleLP(B, np.inf, presolve=True, share=_SampleLP(B, np.inf, presolve=False))
+
+
+def _pair_with_single_atom_sides(rng, k1, k2, n):
+    w1, w2 = rng.uniform(0.1, 1.0, size=k1), rng.uniform(0.1, 1.0, size=k2)
+    m1 = BalancedSignedMeasure(rng.uniform(-0.9, 0.9, size=(k1, n)), w1 / w1.sum())
+    m2 = BalancedSignedMeasure(rng.uniform(-0.9, 0.9, size=(k2, n)), w2 / w2.sum())
+    return m1, m2
+
+
+def test_lid1_without_presolve_matches_presolve_and_dual(monkeypatch):
+    # presolve solved one-atom sides in no simplex iteration; without it the simplex runs,
+    # and the value must stay that of the presolved LP and of the dual
+    rng = np.random.default_rng(42)
+    pairs = [_pair_with_single_atom_sides(rng, k1, k2, n)
+             for n in (1, 2) for k1 in (1, 2, 5) for k2 in (1, 3, 6)]
+    values = [lid1(m1, m2) for m1, m2 in pairs]
+    with monkeypatch.context() as patch:
+        patch.setattr(wasserstein, "_SampleLP", lambda B, ub, presolve, share: _SampleLP(B, ub, presolve=True))
+        presolved = [lid1(m1, m2) for m1, m2 in pairs]
+    for (m1, m2), value, ref in zip(pairs, values, presolved):
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert value == pytest.approx(lid1_dual_lp(m1, m2), abs=1e-9)
+
+
+def test_lid1_one_atom_side_is_the_forced_plan():
+    # a single source must ship every sink's mass straight to it: sum_j q_j |p - q_j|
+    rng = np.random.default_rng(43)
+    for n in (1, 2):
+        for k in (1, 2, 7, 14):
+            m1, m2 = _pair_with_single_atom_sides(rng, 1, k, n)
+            forced = float(np.sum(m2.weights * np.linalg.norm(m2.points - m1.points[0], axis=1)))
+            assert lid1(m1, m2) == pytest.approx(forced, rel=1e-12)
+            assert lid1(m2, m1) == pytest.approx(forced, rel=1e-12)
