@@ -32,6 +32,10 @@ class TransportCost:
     pairs with strictly increasing s starting at (0, 0).  ``witness`` is
     an optional concave majorant, stored as an (m, 2) sample table; for
     power costs it is implicit (the cost itself).
+
+    Two costs are equal when their kind, ``alpha`` and tables are equal
+    by value, and the hash agrees with that, so tabulated costs compare
+    and hash like power costs.
     """
 
     kind: str
@@ -49,6 +53,15 @@ class TransportCost:
         if self.witness is not None:
             object.__setattr__(self, "witness", _freeze(self.witness))
 
+    def __eq__(self, other):
+        if not isinstance(other, TransportCost):
+            return NotImplemented
+        return (self.kind == other.kind and self.alpha == other.alpha
+                and _same_table(self.samples, other.samples) and _same_table(self.witness, other.witness))
+
+    def __hash__(self):
+        return hash((self.kind, self.alpha, _table_key(self.samples), _table_key(self.witness)))
+
     def __call__(self, s):
         return eval_cost(self, s)
 
@@ -62,6 +75,15 @@ class TransportCost:
         if self.witness is None:
             raise ValueError("no admissibility witness")
         return _interp_table(self.witness, s)
+
+
+def _same_table(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _table_key(table: np.ndarray | None):
+    # Python floats hash -0.0 like 0.0, which np.array_equal calls equal
+    return None if table is None else (table.shape, tuple(table.ravel().tolist()))
 
 
 def _interp_table(table: np.ndarray, s):

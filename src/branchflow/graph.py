@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array
 
 from .measures import (
     AtomicMeasurePath,
@@ -25,6 +25,9 @@ from .measures import (
     lp_time_norms,
     time_derivative,
 )
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 DEFAULT_CYCLE_CAP = 10
 EXHAUSTIVE_LIMIT = 8  # max_order tries every extraction order up to this many cycles
@@ -147,7 +150,12 @@ def _support_indices(G: TransportGraph, path: AtomicMeasurePath) -> np.ndarray:
 
 
 def _incidence(G: TransportGraph) -> csc_array:
-    """(V, E) sparse incidence matrix B: +1 at each edge's head, -1 at its tail."""
+    """(V, E) sparse incidence matrix B: +1 at each edge's head, -1 at its tail.
+
+    ``scipy.sparse`` loads here, for the weight LP, not with the package.
+    """
+    from scipy.sparse import coo_array
+
     cols = np.repeat(np.arange(G.n_edges), 2)
     data = np.tile([1.0, -1.0], G.n_edges)
     return coo_array((data, (G.edges[:, ::-1].ravel(), cols)),
@@ -162,6 +170,14 @@ def _boundary_matrix(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: Atom
     return b
 
 
+def _net_inflow(G: TransportGraph) -> np.ndarray:
+    """(V, N) product B W: each edge's weight added at its head and subtracted at its tail."""
+    bw = np.zeros((G.vertices.shape[0], G.grid.n_samples))
+    np.add.at(bw, G.edges[:, 1], G.weights)
+    np.subtract.at(bw, G.edges[:, 0], G.weights)
+    return bw
+
+
 def kirchhoff_residual(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath) -> float:
     """Worst mass-balance violation max |B W - b| over vertices and samples.
 
@@ -172,7 +188,7 @@ def kirchhoff_residual(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: At
     """
     if a_plus.grid.n_samples != G.grid.n_samples or a_minus.grid.n_samples != G.grid.n_samples:
         raise ValueError("time grids do not match")
-    balance = _incidence(G) @ G.weights - _boundary_matrix(G, a_plus, a_minus)
+    balance = _net_inflow(G) - _boundary_matrix(G, a_plus, a_minus)
     return float(np.max(np.abs(balance))) if balance.size else 0.0
 
 

@@ -1,5 +1,10 @@
 """Instance files: schema-validated JSON in, normalized working data out.
 
+``schemas/instance.schema.json`` documents the format.  The loader checks
+a payload against it with direct code (``_schema_errors``) that accepts
+exactly what a JSON Schema 2020-12 validator accepts, so no schema
+library is needed at run time.
+
 Loading rescales all coordinates into [-0.95, 0.95]^n (identity when the
 data already fits) so the dyadic machinery operates well inside its
 [-2, 2)^n tiling and the certified layer bounds apply.  The affine
@@ -10,13 +15,11 @@ identity.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .cost import TransportCost, power_cost, tabulated_cost
@@ -62,20 +65,182 @@ class InstanceFile:
     raw: dict
 
 
-@functools.cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """The instance schema's validator, built once per process."""
-    text = resources.files("branchflow.schemas").joinpath("instance.schema.json").read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+def _check_object(value, path, errors, required, allowed) -> bool:
+    """Note a non-object, missing keys and unknown keys at ``path``; True for an object."""
+    if not isinstance(value, dict):
+        errors.append((path, "is not an object"))
+        return False
+    for key in required:
+        if key not in value:
+            errors.append((path, f"missing required key {key!r}"))
+    unknown = sorted((key for key in value if key not in allowed), key=str)
+    if unknown:
+        errors.append((path, "unknown key(s) " + ", ".join(map(repr, unknown))))
+    return True
+
+
+def _check_array(value, path, errors, min_items=0, max_items=None) -> bool:
+    """Note a non-array or a length outside [min_items, max_items]; True for an array."""
+    if not isinstance(value, list):
+        errors.append((path, "is not an array"))
+        return False
+    if len(value) < min_items:
+        errors.append((path, f"has {len(value)} items, fewer than {min_items}"))
+    elif max_items is not None and len(value) > max_items:
+        errors.append((path, f"has {len(value)} items, more than {max_items}"))
+    return True
+
+
+def _fault(x, integer=False, minimum=None, above=None, maximum=None) -> str | None:
+    """Why ``x`` is not a number (an integer if asked) within the bounds given, or None.
+
+    As in JSON Schema, a number is any Python number but a bool, an
+    integer a non-bool int or an integral float (so 2.0 counts), and NaN
+    passes every bound.
+    """
+    if type(x) is not float:  # the common case skips the slower abstract-class check
+        if isinstance(x, bool) or not isinstance(x, numbers.Number):
+            return f"{x!r} is not {'an integer' if integer else 'a number'}"
+    if integer and not (isinstance(x, int) or (isinstance(x, float) and x.is_integer())):
+        return f"{x!r} is not an integer"
+    if minimum is not None and x < minimum:
+        return f"{x!r} is less than {minimum}"
+    if above is not None and x <= above:
+        return f"{x!r} is not greater than {above}"
+    if maximum is not None and x > maximum:
+        return f"{x!r} is greater than {maximum}"
+    return None
+
+
+def _check_value(x, path, errors, *bounds):
+    reason = _fault(x, *bounds)
+    if reason:
+        errors.append((path, reason))
+
+
+def _check_values(value, path, errors, min_items, max_items, *bounds):
+    """An array of [min_items, max_items] numbers, each passing ``_fault``."""
+    if _check_array(value, path, errors, min_items, max_items):
+        for i, x in enumerate(value):
+            reason = _fault(x, *bounds)
+            if reason:
+                errors.append((path + (i,), reason))
+
+
+def _check_rows(value, path, errors, min_items, check_row):
+    """An array of at least ``min_items`` entries, each checked by ``check_row``."""
+    if _check_array(value, path, errors, min_items):
+        for i, row in enumerate(value):
+            check_row(row, path + (i,), errors)
+
+
+def _point(value, path, errors):
+    _check_values(value, path, errors, 1, None)
+
+
+def _row(value, path, errors):
+    _check_values(value, path, errors, 2, None, False, 0)
+
+
+def _pair(value, path, errors):
+    _check_values(value, path, errors, 2, 2)
+
+
+def _edge(value, path, errors):
+    _check_values(value, path, errors, 2, 2, True, 0)
+
+
+def _rows_object(keys, row_checks, min_items):
+    """Check for an object with exactly ``keys``, each an array of at least ``min_items`` rows."""
+    def check(value, path, errors):
+        if _check_object(value, path, errors, keys, keys):
+            for key, check_row in zip(keys, row_checks):
+                if key in value:
+                    _check_rows(value[key], path + (key,), errors, min_items, check_row)
+    return check
+
+
+_measure_path = _rows_object(("points", "weights"), (_point, _row), 1)
+_graph = _rows_object(("vertices", "edges", "weights"), (_point, _edge, _row), 0)
+
+
+def _cost(value, path, errors):
+    """One error at ``path`` (the schema's oneOf) naming the first fault of the branch "kind" selects."""
+    if not isinstance(value, dict):
+        errors.append((path, "is not an object"))
+        return
+    faults = []
+    kind = value.get("kind")
+    if isinstance(kind, str) and kind == "power":
+        keys = ("kind", "alpha")
+        if _check_object(value, path, faults, keys, keys) and "alpha" in value:
+            _check_value(value["alpha"], path + ("alpha",), faults, False, None, 0, 1)
+    elif isinstance(kind, str) and kind == "tabulated":
+        keys = ("kind", "samples", "witness")
+        if _check_object(value, path, faults, keys[:2], keys):
+            for key in keys[1:]:
+                if key in value:
+                    _check_rows(value[key], path + (key,), faults, 2, _pair)
+    elif "kind" not in value:
+        faults.append((path, "missing required key 'kind'"))
+    else:
+        faults.append((path + ("kind",), f"{kind!r} is neither 'power' nor 'tabulated'"))
+    if faults:
+        where, reason = min(faults, key=lambda e: e[0])
+        errors.append((path, f"invalid cost at {_where(where)}: {reason}"))
+
+
+def _p(value, path, errors):
+    if not (isinstance(value, str) and value == "inf"):
+        _check_value(value, path, errors, False, None, 1)
+
+
+def _version(value, path, errors):
+    if not (isinstance(value, str) and value == "1"):
+        errors.append((path, f"{value!r} is not '1'"))
+
+
+_ROOT_REQUIRED = ("version", "dimension", "time_samples", "mu_plus", "mu_minus")
+_ROOT_CHECKS = {
+    "version": _version,
+    "dimension": lambda v, path, errors: _check_value(v, path, errors, True, 1),
+    "time_samples": lambda v, path, errors: _check_value(v, path, errors, True, 2),
+    "mu_plus": _measure_path,
+    "mu_minus": _measure_path,
+    "graph": _graph,
+    "cost": _cost,
+    "p": _p,
+    "lambda": lambda v, path, errors: _check_value(v, path, errors, False, None, 0),
+}
+
+
+def _schema_errors(data) -> list[tuple[tuple, str]]:
+    """(path, reason) for every violation of ``instance.schema.json``, sorted by path.
+
+    A path is a tuple of keys and list indices, () for the top level.  The
+    verdict is that of ``jsonschema.Draft202012Validator`` on the schema,
+    and so are the paths: "required" and "additionalProperties" report at
+    the object, and a ``oneOf`` (``cost``, ``p``) reports once, at its
+    value.  A number is any non-bool number, an integer a non-bool int
+    or integral float, and NaN passes every bound.
+    """
+    errors = []
+    if _check_object(data, (), errors, _ROOT_REQUIRED, _ROOT_CHECKS):
+        for key, check in _ROOT_CHECKS.items():
+            if key in data:
+                check(data[key], (key,), errors)
+    return sorted(errors, key=lambda e: e[0])
+
+
+def _where(path: tuple) -> str:
+    return "/".join(map(str, path)) or "<root>"
 
 
 def _validate_schema(data: dict):
-    errors = sorted(_validator().iter_errors(data), key=lambda e: list(e.absolute_path))
+    """Raise ValueError listing up to 8 schema violations, one ``at <path>: <reason>`` line each."""
+    errors = _schema_errors(data)
     if errors:
-        lines = []
-        for err in errors[:8]:
-            where = "/".join(str(x) for x in err.absolute_path) or "<root>"
-            lines.append(f"  at {where}: {err.message}")
+        lines = [f"  at {_where(path)}: {reason}" for path, reason in errors[:8]]
         raise ValueError("instance schema violation:\n" + "\n".join(lines))
 
 

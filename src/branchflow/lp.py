@@ -10,6 +10,10 @@ small dense LPs presolve costs more time than it saves.  Its
 constraint matrix depends only on the two atom counts, so
 ``wasserstein`` keeps one LP object per count pair, all running on one
 HiGHS solver.
+
+Like the HiGHS bindings, ``scipy.sparse`` loads with the first LP (in
+``_SampleLP`` and in the builders of its constraint matrices), so the
+graph, energy and instance code runs without it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse import csc_array
 
 
 @functools.cache
@@ -65,6 +68,8 @@ class _SampleLP:
     _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
 
     def __init__(self, B: np.ndarray, ub: float, presolve: bool = True, share: _SampleLP | None = None):
+        from scipy.sparse import csc_array
+
         _highs = _bindings()
         A = csc_array(B)
         nv, ne = B.shape

@@ -220,11 +220,22 @@ def cell_center(idx, k: int, spec: DyadicLevelSpec = STANDARD) -> np.ndarray:
 
 
 def _bucket(keys, rows):
-    """Sum ``rows`` over equal ``keys`` rows: (distinct keys in lexicographic order, sums)."""
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq),) + rows.shape[1:])
-    np.add.at(sums, inverse.ravel(), rows)
-    return uniq, sums
+    """Sum ``rows`` over equal ``keys`` rows: (distinct keys in lexicographic order, sums).
+
+    A stable lexsort, first key column primary, puts equal keys next to
+    each other in input order; each run's first row is its key, so where
+    keys differ only in the sign of a zero the first occurrence is kept.
+    The rows of a key are added in input order.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    sums = np.zeros((int(np.count_nonzero(starts)),) + rows.shape[1:])
+    np.add.at(sums, inverse, rows)
+    return ordered[starts], sums
 
 
 def _aggregate(points, weights, k):

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import coo_array
 
 from . import wasserstein
 from .cost import TransportCost, check_admissible
@@ -152,6 +151,8 @@ def _coupled_matrix(B, n):
     first V*n rows give B W(t); the next E*n rows give
     W(t+1) - W(t) - u(t) + v(t), with t + 1 taken mod n.
     """
+    from scipy.sparse import coo_array
+
     B = coo_array(B)
     nv, ne = B.shape
     m = ne * n

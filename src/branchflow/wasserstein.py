@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .cost import TransportCost, rho
 from .lp import _SampleLP
@@ -69,6 +68,8 @@ def _transport_solver(solvers: dict, m: int, l: int) -> _SampleLP:
     """
     lp = solvers.get((m, l))
     if lp is None:
+        from scipy.sparse import csc_array
+
         rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)])
         B = csc_array((np.ones(2 * m * l), rows.ravel(), np.arange(0, 2 * m * l + 1, 2)), shape=(m + l, m * l))
         lp = solvers[m, l] = _SampleLP(B, np.inf, presolve=False, share=next(iter(solvers.values()), None))

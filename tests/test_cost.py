@@ -111,6 +111,22 @@ def test_admissible_decided_once_per_cost_and_dimension(monkeypatch):
     assert power == fresh and repr(power) == repr(fresh) and repr(tau) == repr(twin)
 
 
+def test_costs_compare_and_hash_by_value():
+    table = [[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]]
+    tau, twin = tabulated_cost(table, witness=table), tabulated_cost(table, witness=table)
+    check_admissible(tau, 2)  # the memo stays out of equality
+    assert tau == twin and hash(tau) == hash(twin) and len({tau, twin}) == 1
+    assert tau != tabulated_cost(table) and tabulated_cost(table) == tabulated_cost(table)
+    assert tau != tabulated_cost([[0.0, 0.0], [0.25, 0.5], [1.0, 0.7]], witness=table)
+    assert tau != tabulated_cost([[0.0, 0.0], [0.25, 0.5], [1.0, 0.8], [2.0, 0.8]], witness=table)
+    assert tau != power_cost(0.5) and tau in [power_cost(0.5), twin]
+    # -0.0 and 0.0 tables are equal, so they hash alike
+    signed = tabulated_cost([[-0.0, 0.0], [0.25, 0.5], [1.0, 0.8]], witness=table)
+    assert signed == tau and hash(signed) == hash(tau)
+    assert power_cost(0.6) == power_cost(0.6) and hash(power_cost(0.6)) == hash(power_cost(0.6))
+    assert power_cost(0.6) != power_cost(0.7)
+
+
 def test_rho_examples():
     assert rho(power_cost(0.5), 1.0) == pytest.approx(1.0)
     assert rho(power_cost(0.5), 4.0) == pytest.approx(0.5)

@@ -30,6 +30,7 @@ from branchflow.graph import (
     _bracket,
     _greedy_order,
     _incidence,
+    _net_inflow,
     _order_values,
     cancel_antiparallel,
     is_never_cyclic,
@@ -157,6 +158,18 @@ def test_balance_operator_matches_loop_reference():
                         - sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 0] == v) - b[v, j])
                     for v in range(6) for j in range(4))
         assert kirchhoff_residual(G, a_plus, a_minus) == pytest.approx(worst, rel=0.0, abs=1e-14)
+
+
+def test_net_inflow_is_the_incidence_product():
+    # the residual's B W, added at heads and subtracted at tails, is the sparse product to 1e-14,
+    # parallel and anti-parallel edges and self loops included
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        G = random_graph(rng, n=2, n_vertices=int(rng.integers(2, 8)), n_samples=int(rng.integers(2, 9)))
+        assert np.allclose(_net_inflow(G), _incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
+    edges = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 2)]
+    G = TransportGraph(np.array([[0.0], [1.0], [2.0]]), edges, rng.uniform(0.0, 1.0, (5, 4)), TimeGrid(4))
+    assert np.allclose(_net_inflow(G), _incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
 
 
 def test_kirchhoff_grid_mismatch():

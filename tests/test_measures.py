@@ -235,15 +235,20 @@ def test_mollified_against_monte_carlo():
 
 def test_bucket_matches_dict_reference():
     # the bucket sum adds rows in input order like a dict loop, so keys and sums agree exactly
+    # (empty, one-row and three-column keys included); of keys differing only in the sign of
+    # a zero, the first occurrence is kept, as the dict keeps its first key
     rng = np.random.default_rng(4)
-    for keys in (rng.integers(-3, 3, size=(40, 2)), rng.choice([-1.5, -0.0, 0.0, 0.25, 1e-9], size=(40, 2))):
-        rows = rng.standard_normal((40, 3))
+    for keys in (rng.integers(-3, 3, size=(40, 2)), rng.choice([-1.5, -0.0, 0.0, 0.25, 1e-9], size=(40, 2)),
+                 np.zeros((0, 2), dtype=int), np.array([[0.5, -0.0]]),
+                 rng.choice([-1.0, -0.0, 0.0, 2.0], size=(40, 3)), rng.integers(-2, 2, size=(40, 3))):
+        rows = rng.standard_normal((len(keys), 3))
         acc: dict[tuple, np.ndarray] = {}
         for key, row in zip(map(tuple, keys), rows):
             acc[key] = acc[key] + row if key in acc else row.copy()
         uniq, sums = _bucket(keys, rows)
         assert [tuple(k) for k in uniq] == sorted(acc)
-        assert np.array_equal(sums, np.array([acc[k] for k in sorted(acc)]))
+        assert [tuple(np.signbit(k)) for k in uniq] == [tuple(np.signbit(k)) for k in sorted(acc)]
+        assert np.array_equal(sums, np.array([acc[k] for k in sorted(acc)]).reshape(-1, 3))
 
 
 def test_lp_time_norm_inf_and_finite():

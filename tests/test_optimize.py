@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -26,6 +27,7 @@ from branchflow import (
     tabulated_cost,
 )
 from branchflow.graph import _derivative_series, _tau_mass_series, is_never_cyclic
+from branchflow.instance import graph_to_dict
 from branchflow.lp import _SampleLP
 from branchflow.optimize import (
     EPS_TAU,
@@ -40,7 +42,7 @@ from branchflow.optimize import (
     instance_connector_witness,
 )
 
-from conftest import random_graph, random_path
+from conftest import cyclic_flow_instance, random_graph, random_path
 
 
 def delta(x, n_samples=4):
@@ -319,6 +321,28 @@ def test_import_loads_no_graph_library_and_no_lp_bindings():
     done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert done.stdout.strip() == "[]"
+
+
+def test_graph_and_instance_code_load_no_schema_library_and_no_sparse_matrices():
+    # scipy.sparse and jsonschema stay unloaded through import, instance parsing, energy and
+    # cycle elimination; scipy.sparse loads with the first LP
+    G, a_plus, a_minus = cyclic_flow_instance(np.random.default_rng(3))
+    data = {"version": "1", "dimension": 2, "time_samples": G.grid.n_samples,
+            "mu_plus": {"points": a_plus.points.tolist(), "weights": a_plus.weights.tolist()},
+            "mu_minus": {"points": a_minus.points.tolist(), "weights": a_minus.weights.tolist()},
+            "graph": graph_to_dict(G), "cost": {"kind": "power", "alpha": 0.5}, "p": 2, "lambda": 0.1}
+    probe = ("import json, sys; import branchflow; from branchflow import graph, instance; "
+             "loaded = lambda: [m for m in ('jsonschema', 'scipy.sparse') if m in sys.modules]; "
+             "after_import = loaded(); "
+             "inst = instance.instance_from_dict(json.load(sys.stdin)); "
+             "graph.energy(inst.graph, inst.cost, inst.p, inst.lam); "
+             "out = graph.eliminate_cycles(inst.graph, inst.mu_plus, inst.mu_minus, inst.p); "
+             "assert graph.enumerate_cycles(inst.graph) and not graph.enumerate_cycles(out); "
+             "print(after_import, loaded())")
+    src = Path(branchflow.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], input=json.dumps(data), check=True,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.stdout.strip() == "[] []"
 
 
 def test_sample_lp_reuse_is_stateless():
