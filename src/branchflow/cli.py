@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dyadic, wasserstein
 from .cost import eval_cost, power_cost
-from .graph import energy, kirchhoff_residual, tv_norm
+from .graph import CycleExplosionError, energy, kirchhoff_residual, tv_norm
 from .instance import InstanceFile, graph_to_dict, load_instance, parse_p
 from .measures import AtomicMeasurePath, make_atomic_path
 from .optimize import OptimizerConfig, local_search, metric_probe
@@ -326,7 +326,7 @@ def run_subcommand(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, CycleExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

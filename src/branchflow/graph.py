@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .measures import (
     lp_time_norms,
     time_derivative,
 )
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
 
 DEFAULT_CYCLE_CAP = 10
 EXHAUSTIVE_LIMIT = 8  # max_order tries every extraction order up to this many cycles
@@ -147,19 +143,6 @@ def _support_indices(G: TransportGraph, path: AtomicMeasurePath) -> np.ndarray:
             raise ValueError(f"support point {key} is not a graph vertex")
         idx.append(lookup[key])
     return np.array(idx, dtype=int)
-
-
-def _incidence(G: TransportGraph) -> csc_array:
-    """(V, E) sparse incidence matrix B: +1 at each edge's head, -1 at its tail.
-
-    ``scipy.sparse`` loads here, for the weight LP, not with the package.
-    """
-    from scipy.sparse import coo_array
-
-    cols = np.repeat(np.arange(G.n_edges), 2)
-    data = np.tile([1.0, -1.0], G.n_edges)
-    return coo_array((data, (G.edges[:, ::-1].ravel(), cols)),
-                     shape=(G.vertices.shape[0], G.n_edges)).tocsc()
 
 
 def _boundary_matrix(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath) -> np.ndarray:

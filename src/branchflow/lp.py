@@ -6,20 +6,20 @@
 ``linprog`` does by default: its optimal vertex is the witness, so it
 must be exactly ``linprog``'s.  The transport LP runs with presolve off:
 only its optimal value is used, and that value is unique, and on these
-small dense LPs presolve costs more time than it saves.  Its
-constraint matrix depends only on the two atom counts, so
-``wasserstein`` keeps one LP object per count pair, all running on one
-HiGHS solver.
+small dense LPs presolve costs more time than it saves.
 
-Like the HiGHS bindings, ``scipy.sparse`` loads with the first LP (in
-``_SampleLP`` and in the builders of its constraint matrices), so the
-graph, energy and instance code runs without it.
+The builders hand their constraint matrices over as (row, col, value)
+triplets; only this module knows HiGHS's column-wise format.  Each
+thread keeps one HiGHS solver per presolve setting, and every LP object
+of that thread runs on it.  No module of the package imports
+``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -39,65 +39,64 @@ def _bindings():
     return _core
 
 
-class _SampleLP:
-    """min c.x subject to B x = b, 0 <= x <= ub for a fixed B, solved by HiGHS.
+_local = threading.local()  # this thread's HiGHS solvers, by presolve setting
 
-    One object holds one coupled weight LP per topology, or one transport
-    LP per pair of atom counts.  Repeated solves share B and differ only
-    in c and b (the starts and sweeps of one ``optimize_weights`` call, or
-    the time samples of one lower bound), so the model and one HiGHS
-    solver are built once per object, and each solve swaps in its cost
-    and right-hand side and passes the model again.  Reuse is exact:
-    ``passModel`` replaces the whole model and drops the previous basis
-    and solution, so each solve starts from the state of a new solver,
-    and HiGHS's dual simplex is deterministic for a fixed input, so the
-    same (c, b) always gives the same x.  Options and the acceptance test
-    are those of ``scipy.optimize.linprog(..., method="highs",
-    options={"presolve": presolve})`` (``_linprog_highs`` and
-    ``_check_result``), so each solve returns exactly what that call
-    returns, without its per-call input cleaning and option checking.
-    Only this class knows the HiGHS format.
 
-    ``share``, an object built with the same ``presolve``, lends its
-    HiGHS solver in place of a new one.  Since every solve passes its
-    whole model, LPs of different shapes can take turns on one solver
-    with the same results, and HiGHS keeps about 0.2 MB of workspace per
-    solver after its first run.
-    """
-
-    _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
-
-    def __init__(self, B: np.ndarray, ub: float, presolve: bool = True, share: _SampleLP | None = None):
-        from scipy.sparse import csc_array
-
+def _solver(presolve: bool):
+    """This thread's HiGHS solver for one presolve setting, built on first use."""
+    solvers = _local.__dict__.setdefault("by_presolve", {})
+    if presolve not in solvers:
         _highs = _bindings()
-        A = csc_array(B)
-        nv, ne = B.shape
-        lp = _highs.HighsLp()
-        lp.num_col_ = ne
-        lp.num_row_ = nv
-        lp.a_matrix_.num_col_ = ne
-        lp.a_matrix_.num_row_ = nv
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
-        lp.a_matrix_.value_ = A.data
-        lp.col_lower_ = np.zeros(ne)
-        lp.col_upper_ = np.full(ne, ub)  # kHighsInf is inf, so an infinite bound passes as is
-        self._lp, self._ub, self._presolve = lp, ub, presolve
-        if share is not None:
-            if share._presolve != presolve:
-                raise ValueError("a shared HiGHS solver keeps the presolve setting it was built with")
-            self._highs = share._highs
-            return
         options = _highs.HighsOptions()  # those _linprog_highs sets for method="highs"
         options.presolve = "on" if presolve else "off"  # linprog's bool, as _highs_wrapper maps it
         options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
         options.highs_debug_level = 0
         options.log_to_console = False
         options.output_flag = False
-        self._highs = _highs._Highs()
-        self._highs.passOptions(options)
+        solvers[presolve] = _highs._Highs()
+        solvers[presolve].passOptions(options)
+    return solvers[presolve]
+
+
+class _SampleLP:
+    """min c.x subject to A x = b, 0 <= x <= ub for a fixed A, solved by HiGHS.
+
+    A (of the given shape) arrives as (row, col, value) triplets in any
+    order.  They are sorted column by column, rows ascending, and the
+    entries on one (row, col) are summed into one stored entry, as
+    ``scipy.sparse``'s ``tocsc`` does (a self loop's +1 and -1 become a
+    stored 0).  One object holds one weight LP per topology, or one
+    transport LP per pair of atom counts.  Each solve swaps in its cost
+    and right-hand side and passes the whole model to the calling
+    thread's solver for its presolve setting.  That is exact:
+    ``passModel`` drops the previous basis and solution, and HiGHS's dual
+    simplex is deterministic for a fixed input, so the same (c, b) gives
+    the same x whatever ran on the solver before.  Options and the
+    acceptance test are those of ``scipy.optimize.linprog(...,
+    method="highs", options={"presolve": presolve})`` (``_linprog_highs``
+    and ``_check_result``), so each solve returns exactly what that call
+    returns, without its input cleaning and option checking.
+    """
+
+    _TOL = math.sqrt(1e-9) * 10  # linprog's default tol, as _check_result widens it
+
+    def __init__(self, rows, cols, values, shape: tuple[int, int], ub: float, presolve: bool = True):
+        _highs = _bindings()
+        nv, ne = shape
+        key, at = np.unique(np.asarray(cols) * nv + np.asarray(rows), return_inverse=True)  # by column, then row
+        cols, rows = np.divmod(key, nv)
+        lp = _highs.HighsLp()
+        lp.num_col_ = ne
+        lp.num_row_ = nv
+        lp.a_matrix_.num_col_ = ne
+        lp.a_matrix_.num_row_ = nv
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = np.searchsorted(cols, np.arange(ne + 1))
+        lp.a_matrix_.index_ = rows
+        lp.a_matrix_.value_ = np.bincount(at, weights=values, minlength=len(key))
+        lp.col_lower_ = np.zeros(ne)
+        lp.col_upper_ = np.full(ne, ub)  # kHighsInf is inf, so an infinite bound passes as is
+        self._lp, self._ub, self._presolve = lp, ub, presolve
 
     def solve(self, cost, rhs):
         """Optimal x for one (c, b), or None where linprog reports failure; one HiGHS run."""
@@ -108,7 +107,7 @@ class _SampleLP:
         self._lp.col_cost_ = cost
         self._lp.row_lower_ = rhs
         self._lp.row_upper_ = rhs
-        h, _highs = self._highs, _bindings()
+        h, _highs = _solver(self._presolve), _bindings()
         if (h.passModel(self._lp) == _highs.HighsStatus.kError or h.run() == _highs.HighsStatus.kError
                 or h.getModelStatus() != _highs.HighsModelStatus.kOptimal):
             return None

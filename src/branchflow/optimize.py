@@ -34,7 +34,6 @@ from .graph import (
     TransportGraph,
     _boundary_matrix,
     _derivative_series,
-    _incidence,
     _tau_mass_series,
     cancel_antiparallel,
     empty_graph,
@@ -144,24 +143,23 @@ def _norm_gradient(series, p_eff):
     return (series ** (p_eff - 1.0)) * norm ** (1.0 - p_eff) / n
 
 
-def _coupled_matrix(B, n):
-    """Constraint matrix of the weight LP over all n samples, columns x = (W, u, v).
+def _coupled_matrix(G: TransportGraph, n: int):
+    """(rows, cols, values, shape) triplets of the weight LP over all n samples, columns x = (W, u, v).
 
     W, u and v are (E, n) arrays flattened sample after sample.  The
-    first V*n rows give B W(t); the next E*n rows give
-    W(t+1) - W(t) - u(t) + v(t), with t + 1 taken mod n.
+    first V*n rows give B W(t), with B's +1 at each edge's head and -1 at
+    its tail; the next E*n rows give W(t+1) - W(t) - u(t) + v(t), with
+    t + 1 taken mod n.
     """
-    from scipy.sparse import coo_array
-
-    B = coo_array(B)
-    nv, ne = B.shape
+    nv, ne = G.vertices.shape[0], G.n_edges
     m = ne * n
     k = np.arange(m)  # e + E t: the column of W(e, t) and, offset by V n, its difference row
     t = np.arange(n)[:, None]
-    rows = np.concatenate([(B.row + nv * t).ravel(), nv * n + np.tile(k, 4)])
-    cols = np.concatenate([(B.col + ne * t).ravel(), k % ne + ne * ((k // ne + 1) % n), k, m + k, 2 * m + k])
-    data = np.concatenate([np.tile(B.data, n), np.repeat([1.0, -1.0, -1.0, 1.0], m)])
-    return coo_array((data, (rows, cols)), shape=(nv * n + m, 3 * m)).tocsc()
+    rows = np.concatenate([(G.edges[:, 1] + nv * t).ravel(), (G.edges[:, 0] + nv * t).ravel(),
+                           nv * n + np.tile(k, 4)])
+    cols = np.concatenate([k, k, k % ne + ne * ((k // ne + 1) % n), k, m + k, 2 * m + k])
+    values = np.repeat([1.0, -1.0, 1.0, -1.0, -1.0, 1.0], m)
+    return rows, cols, values, (nv * n + m, 3 * m)
 
 
 def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath,
@@ -182,7 +180,7 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
     lengths = topology.lengths
     p_eff = min(p, 16.0) if not math.isinf(p) else 16.0
     # |W(t+1) - W(t)| <= WEIGHT_BOUND, so the bound also fits the split columns u, v
-    weight_lp = _SampleLP(_coupled_matrix(_incidence(topology), n), WEIGHT_BOUND)
+    weight_lp = _SampleLP(*_coupled_matrix(topology, n), WEIGHT_BOUND)
     rhs = np.concatenate([_boundary_matrix(topology, a_plus, a_minus).ravel(order="F"), np.zeros(ne * n)])
     # rhs is fixed for the call and the same (c, b) always gives the same x, so a cost
     # seen before (two iterates can price alike) returns its earlier optimum
@@ -347,8 +345,11 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
 
     Seeds from the best connector-based witness and a direct topology,
     then alternates strictly-improving moves (junction insertion,
-    perturbation, edge insertion, reoptimization).  Always returns a
-    report; the baseline witness survives when the search stalls.
+    perturbation, edge insertion, reoptimization); the best seed survives
+    when the search stalls.  Raises ValueError when no seed is usable.
+    The witness has no parallel edges: the seeds have none, ``add_edge``
+    skips an existing pair, and each of a junction's new edges has the new
+    vertex as one end.
     """
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -377,8 +378,8 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     candidates: list[TransportGraph] = []
     try:
         candidates.append(direct_topology(mu_plus, target))
-    except ValueError:
-        pass
+    except ValueError as exc:
+        refused = exc
     for k in range(1, cfg.k_max + 1):
         candidates.append(instance_connector_witness(mu_plus, target, k))
 
@@ -390,6 +391,11 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
         iterations += 1
         if val < incumbent_val:
             incumbent_val, incumbent = val, g
+    if incumbent is None:
+        if not candidates:
+            raise ValueError(f"no seed topology: {refused}, and k_max = 0 builds no connector witness")
+        raise ValueError(f"no seed topology: every seed candidate has more than {SEARCH_CYCLE_CAP} "
+                         "simple cycles after weight optimization")
 
     boundary_points = mu_plus.support() | target.support()
     steiner_added = 0

@@ -6,7 +6,8 @@ positive and negative parts of the difference as a transportation LP on
 the complete bipartite support graph, with HiGHS (``lp._SampleLP``).
 Its constraint matrix depends only on the atom counts (m, l), so one
 LP per (m, l) serves every sample of a path norm, and both path norms
-of ``lower_bound_terms``; all of them run on one HiGHS solver.
+of ``lower_bound_terms``; all of them run on the calling thread's
+HiGHS solver.
 Presolve is off: only the optimal value is used, and it is unique, so
 any optimal vertex gives it, and each solve returns what
 ``linprog(..., method="highs", options={"presolve": False})`` returns.
@@ -62,17 +63,15 @@ def _transport_solver(solvers: dict, m: int, l: int) -> _SampleLP:
 
     The flow from source i to sink j is column i*l + j of the complete
     bipartite incidence; its rows fix each source's supply and each
-    sink's demand.  All shapes in one dict run on the first one's HiGHS
-    solver, so a lower bound holds one solver's workspace, not one per
-    shape.
+    sink's demand.  The matrix goes to ``_SampleLP`` as (row, col, value)
+    triplets, and every shape runs on the calling thread's presolve-free
+    HiGHS solver.
     """
     lp = solvers.get((m, l))
     if lp is None:
-        from scipy.sparse import csc_array
-
-        rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)])
-        B = csc_array((np.ones(2 * m * l), rows.ravel(), np.arange(0, 2 * m * l + 1, 2)), shape=(m + l, m * l))
-        lp = solvers[m, l] = _SampleLP(B, np.inf, presolve=False, share=next(iter(solvers.values()), None))
+        rows = np.column_stack([np.repeat(np.arange(m), l), m + np.tile(np.arange(l), m)]).ravel()
+        cols = np.repeat(np.arange(m * l), 2)
+        lp = solvers[m, l] = _SampleLP(rows, cols, np.ones(2 * m * l), (m + l, m * l), np.inf, presolve=False)
     return lp
 
 

@@ -1,8 +1,27 @@
-"""Shared generators for randomized instances."""
+"""Shared generators for randomized instances, and matrix views of the LP triplets."""
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from branchflow import AtomicMeasurePath, TimeGrid, TransportGraph, make_atomic_path, make_graph
+from branchflow.optimize import _coupled_matrix
+
+
+def triplets(B):
+    """(rows, cols, values, shape) of a dense or sparse matrix, as ``_SampleLP`` takes them."""
+    A = coo_array(B)
+    return A.row, A.col, A.data, A.shape
+
+
+def from_triplets(rows, cols, values, shape):
+    """The CSC matrix of LP triplets, duplicates summed."""
+    return coo_array((values, (rows, cols)), shape=shape).tocsc()
+
+
+def incidence(G: TransportGraph) -> np.ndarray:
+    """Dense (V, E) incidence B of the weight LP: the sample-0 balance block of ``_coupled_matrix``."""
+    B = from_triplets(*_coupled_matrix(G, 2)).toarray()
+    return B[:G.vertices.shape[0], :G.n_edges]
 
 
 def random_path(rng, n=1, atoms=3, n_samples=4, box=0.9) -> AtomicMeasurePath:

@@ -188,9 +188,11 @@ def test_criterion_5_lower_upper_sandwich():
             ok, detail = False, f" (witness violated, seed {seed})"
         if lower_bound(mu, nu, tau, 2, lam) > rep.upper + 1e-6:
             ok, detail = False, f" (recomputed bound violated, seed {seed})"
+        if len({(int(t), int(h)) for t, h in rep.witness.edges}) != rep.witness.n_edges:
+            ok, detail = False, f" (parallel edges in the witness, seed {seed})"
         if not ok:
             break
-    _criterion(5, "lower bound under every connector and search witness, 100 instances",
+    _criterion(5, "lower bound under every connector and search witness, no parallel edges, 100 instances",
                ok, detail)
 
 

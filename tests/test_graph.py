@@ -29,7 +29,6 @@ from branchflow.graph import (
     _boundary_matrix,
     _bracket,
     _greedy_order,
-    _incidence,
     _net_inflow,
     _order_values,
     cancel_antiparallel,
@@ -39,7 +38,7 @@ from branchflow.graph import (
 )
 from branchflow.measures import time_derivative
 
-from conftest import cyclic_flow_instance, random_graph
+from conftest import cyclic_flow_instance, incidence, random_graph
 
 
 def unit_edge(n_samples=4, weight=1.0, length=1.0):
@@ -152,7 +151,7 @@ def test_balance_operator_matches_loop_reference():
         b = np.zeros((6, 4))
         b[:2] -= a_plus.weights
         b[1:4] += a_minus.weights
-        assert np.array_equal(_incidence(G).toarray(), B)
+        assert np.array_equal(incidence(G), B)
         assert np.array_equal(_boundary_matrix(G, a_plus, a_minus), b)
         worst = max(abs(sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 1] == v)
                         - sum(G.weights[e, j] for e in range(G.n_edges) if G.edges[e, 0] == v) - b[v, j])
@@ -161,15 +160,15 @@ def test_balance_operator_matches_loop_reference():
 
 
 def test_net_inflow_is_the_incidence_product():
-    # the residual's B W, added at heads and subtracted at tails, is the sparse product to 1e-14,
+    # the residual's B W, added at heads and subtracted at tails, is the incidence product to 1e-14,
     # parallel and anti-parallel edges and self loops included
     rng = np.random.default_rng(22)
     for _ in range(20):
         G = random_graph(rng, n=2, n_vertices=int(rng.integers(2, 8)), n_samples=int(rng.integers(2, 9)))
-        assert np.allclose(_net_inflow(G), _incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
+        assert np.allclose(_net_inflow(G), incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
     edges = [(0, 1), (0, 1), (1, 0), (2, 2), (1, 2)]
     G = TransportGraph(np.array([[0.0], [1.0], [2.0]]), edges, rng.uniform(0.0, 1.0, (5, 4)), TimeGrid(4))
-    assert np.allclose(_net_inflow(G), _incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
+    assert np.allclose(_net_inflow(G), incidence(G) @ G.weights, rtol=0.0, atol=1e-14)
 
 
 def test_kirchhoff_grid_mismatch():

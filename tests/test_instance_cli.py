@@ -145,6 +145,23 @@ def test_energy_requires_graph(instance_path, capsys):
     assert "graph" in capsys.readouterr().err
 
 
+
+def test_energy_reports_a_cycle_explosion(tmp_path, capsys):
+    # every ordered pair of 4 vertices is an edge: 6 + 8 + 6 = 20 simple cycles, more than
+    # energy's default cap of 10; the unit flow 0 -> 3 rides on a balanced circulation
+    data = minimal_instance()
+    pts = [[0.1], [0.3], [0.5], [0.8]]
+    edges = [[t, h] for t in range(4) for h in range(4) if t != h]
+    data["graph"] = {"vertices": pts, "edges": edges,
+                     "weights": [[1.1 if (t, h) == (0, 3) else 0.1] * 4 for t, h in edges]}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["energy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cycle explosion: more than 10 simple cycles")
+
+
 def test_construct_band_with_levels(tmp_path, instance_path):
     out = tmp_path / "band.json"
     code = run_subcommand(["construct", instance_path, "--kind", "band",
@@ -172,6 +189,19 @@ def test_optimize_subcommand_delta_pair(tmp_path, instance_path, capsys):
     assert report["upper"] == pytest.approx(0.7, abs=1e-6)
     assert report["witness_kirchhoff_residual"] <= 1e-6
     assert json.loads(witness.read_text())["edges"]
+
+
+
+def test_optimize_without_a_seed_topology_exits_1(tmp_path, capsys):
+    # 7 + 7 atoms are too many for the direct topology, and --k-max 0 builds no connector
+    data = minimal_instance()
+    data["mu_plus"] = {"points": [[0.1 * i] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
+    data["mu_minus"] = {"points": [[0.05 + 0.1 * i] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["optimize", str(path), "--k-max", "0", "--iters", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no seed topology") and "k_max = 0" in err
 
 
 def test_optimize_deterministic_given_seed(tmp_path, instance_path, capsys):

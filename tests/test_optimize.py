@@ -3,6 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,23 +29,31 @@ from branchflow import (
     power_cost,
     tabulated_cost,
 )
-from branchflow.graph import _derivative_series, _tau_mass_series, is_never_cyclic
+from branchflow import optimize
+from branchflow.graph import (
+    CycleExplosionError,
+    TransportGraph,
+    _derivative_series,
+    _tau_mass_series,
+    is_never_cyclic,
+)
 from branchflow.instance import graph_to_dict
 from branchflow.lp import _SampleLP
 from branchflow.optimize import (
     EPS_TAU,
+    SEARCH_CYCLE_CAP,
     WEIGHT_BOUND,
     _boundary_matrix,
     _coupled_matrix,
-    _incidence,
     _norm_gradient,
     _objective,
     _tau_slope,
     direct_topology,
     instance_connector_witness,
 )
+from branchflow.wasserstein import lower_bound_terms
 
-from conftest import cyclic_flow_instance, random_graph, random_path
+from conftest import cyclic_flow_instance, from_triplets, incidence, random_graph, random_path, triplets
 
 
 def delta(x, n_samples=4):
@@ -115,7 +126,7 @@ def test_coupled_matrix_rows_match_loop_reference():
         nv, ne = G.vertices.shape[0], G.n_edges
         W, u, v = rng.uniform(-1.0, 1.0, size=(3, ne, n_samples))
         b = rng.uniform(-1.0, 1.0, size=(nv, n_samples))
-        A = _coupled_matrix(_incidence(G), n_samples)
+        A = from_triplets(*_coupled_matrix(G, n_samples))
         assert A.shape == (nv * n_samples + ne * n_samples, 3 * ne * n_samples)
         x = np.concatenate([W.ravel(order="F"), u.ravel(order="F"), v.ravel(order="F")])
         rows = A @ x - np.concatenate([b.ravel(order="F"), np.zeros(ne * n_samples)])
@@ -151,11 +162,15 @@ def test_coupled_matrix_matches_kron_build():
         for G in (random_graph(rng, n=2, n_vertices=5, n_samples=n_samples),
                   random_graph(rng, n=2, n_vertices=3, n_samples=n_samples),
                   direct_topology(mu, nu), instance_connector_witness(mu, nu, 2)):
-            B = _incidence(G)
-            A, ref = _coupled_matrix(B, n_samples), kron_build(B, n_samples)
-            assert A.format == "csc" and A.shape == ref.shape
+            coupled = _coupled_matrix(G, n_samples)
+            A, ref = from_triplets(*coupled), kron_build(sparse.csc_array(incidence(G)), n_samples)
+            assert A.shape == ref.shape
             assert np.array_equal(A.toarray(), ref.toarray())
             assert A.nnz == np.count_nonzero(A.toarray())
+            # the LP's column-wise arrays are tocsc's, index order included
+            a_matrix = _SampleLP(*coupled, WEIGHT_BOUND)._lp.a_matrix_
+            assert a_matrix.start_ == A.indptr.tolist() and a_matrix.index_ == A.indices.tolist()
+            assert a_matrix.value_ == A.data.tolist()
             kron_zeros += ref.nnz - np.count_nonzero(ref.toarray())
     assert kron_zeros > 0
 
@@ -165,7 +180,7 @@ def _unskipped_weights(topology, a_plus, a_minus, tau, p, lam, cfg):
     n, ne = topology.grid.n_samples, topology.n_edges
     lengths = topology.lengths
     p_eff = min(p, 16.0) if not math.isinf(p) else 16.0
-    weight_lp = _SampleLP(_coupled_matrix(_incidence(topology), n), WEIGHT_BOUND)
+    weight_lp = _SampleLP(*_coupled_matrix(topology, n), WEIGHT_BOUND)
     rhs = np.concatenate([_boundary_matrix(topology, a_plus, a_minus).ravel(order="F"), np.zeros(ne * n)])
 
     def lp_solve(mass_cost, deriv_grad):
@@ -285,7 +300,7 @@ def test_sample_lp_matches_linprog():
         nu = random_path(rng, n=n, atoms=2)
         for G in (direct_topology(mu, nu), instance_connector_witness(mu, nu, 1),
                   instance_connector_witness(mu, nu, 2)):
-            B = _incidence(G)
+            B = incidence(G)
             b = _boundary_matrix(G, mu, nu)
             unbalanced = b[:, 0].copy()
             unbalanced[0] += 0.5
@@ -293,7 +308,7 @@ def test_sample_lp_matches_linprog():
             costs = [G.lengths, np.ones(G.n_edges), np.zeros(G.n_edges),
                      G.lengths * rng.uniform(1.0, 1.5, G.n_edges), rng.uniform(-1.0, 1.0, G.n_edges)]
             for ub in (2.0, 0.5):
-                sample_lp = _SampleLP(B, ub)
+                sample_lp = _SampleLP(*triplets(B), ub)
                 for rhs in rhs_cases:
                     for cost in costs:
                         x = sample_lp.solve(cost, rhs)
@@ -352,7 +367,7 @@ def test_sample_lp_reuse_is_stateless():
     mu = random_path(rng, n=2, atoms=3)
     nu = random_path(rng, n=2, atoms=2)
     G = direct_topology(mu, nu)
-    B = _incidence(G)
+    B = incidence(G)
     b = _boundary_matrix(G, mu, nu)
     unbalanced = b[:, 0].copy()
     unbalanced[0] += 0.5
@@ -364,7 +379,7 @@ def test_sample_lp_reuse_is_stateless():
     for ub in (2.0, 0.5):
         refs = {}
         for c, r in problems:
-            x = _SampleLP(B, ub).solve(costs[c], rhs_cases[r])
+            x = _SampleLP(*triplets(B), ub).solve(costs[c], rhs_cases[r])
             res = linprog(c=costs[c], A_eq=B, b_eq=rhs_cases[r], bounds=(0.0, ub), method="highs")
             assert (x is not None) == res.success
             if res.success:
@@ -373,7 +388,7 @@ def test_sample_lp_reuse_is_stateless():
         assert refs[infeasible] is None and any(x is not None for x in refs.values())
         sequence = [problems[i % len(problems)] for i in rng.permutation(3 * len(problems))]
         sequence += [(0, 0), infeasible, (0, 0), infeasible, (3, 1)]  # repeats after a failure
-        sample_lp = _SampleLP(B, ub)
+        sample_lp = _SampleLP(*triplets(B), ub)
         for c, r in sequence:
             x = sample_lp.solve(costs[c], rhs_cases[r])
             assert (x is None) == (refs[c, r] is None)
@@ -383,6 +398,53 @@ def test_sample_lp_reuse_is_stateless():
         for r in range(len(rhs_cases)):
             assert (refs[1, r] is None) == (refs[2, r] is None)
             assert refs[1, r] is None or refs[1, r].tobytes() == refs[2, r].tobytes()
+
+
+def test_self_loop_sums_to_a_stored_zero_as_tocsc_does():
+    # TransportGraph accepts a self loop (make_graph refuses one): its +1 and -1 share one
+    # (row, col) in every sample and become one stored 0, as tocsc sums them, and the solve
+    # equals linprog's on that matrix
+    grid = TimeGrid(3)
+    G = TransportGraph(np.array([[0.0], [1.0], [2.0]]), [(0, 1), (1, 1), (1, 2)], np.zeros((3, 3)), grid)
+    coupled = _coupled_matrix(G, 3)
+    A = from_triplets(*coupled)
+    assert A.nnz == len(coupled[2]) - 3 and np.count_nonzero(A.data == 0.0) == 3
+    assert not incidence(G)[:, 1].any()
+    weight_lp = _SampleLP(*coupled, WEIGHT_BOUND)
+    a_matrix = weight_lp._lp.a_matrix_
+    assert a_matrix.start_ == A.indptr.tolist() and a_matrix.index_ == A.indices.tolist()
+    assert a_matrix.value_ == A.data.tolist()
+    rhs = np.concatenate([np.tile([-1.0, 0.0, 1.0], 3), np.zeros(9)])
+    for cost in (np.ones(27), np.arange(27.0) % 4):
+        x = weight_lp.solve(cost, rhs)
+        res = linprog(c=cost, A_eq=A, b_eq=rhs, bounds=(0.0, WEIGHT_BOUND), method="highs")
+        assert res.success and np.array_equal(x, res.x)
+
+
+def test_two_threads_match_a_sequential_run():
+    # each thread runs its LPs on its own HiGHS solvers, so two threads at once give the
+    # sequential run's bits
+    rng = np.random.default_rng(13)
+    tau = power_cost(0.8)
+    jobs = [(random_path(rng, n=n, atoms=3), random_path(rng, n=n, atoms=2),
+             random_path(rng, n=n, atoms=8, n_samples=6), random_path(rng, n=n, atoms=9, n_samples=6))
+            for n in (1, 2)]
+
+    def run(mu, nu, big_mu, big_nu, start=None):
+        if start is not None:
+            start.wait()
+        out = []
+        for _ in range(3):
+            terms = lower_bound_terms(big_mu, big_nu, tau, 2, 0.1)
+            W = optimize_weights(direct_topology(mu, nu), mu, nu, tau, 2, 0.3, FAST).weights
+            out.append(([float(v).hex() for v in terms.values()], W.tobytes()))
+        return out
+
+    sequential = [run(*job) for job in jobs]
+    start = threading.Barrier(2)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(run, *job, start) for job in jobs]
+        assert [f.result() for f in futures] == sequential
 
 
 def test_baseline_upper_returns_finite_energy_and_witness():
@@ -481,6 +543,23 @@ def test_shared_support_instances_stay_feasible():
     assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-6
     assert is_never_cyclic(rep.witness, cap=512)
     assert rep.lower <= rep.upper + 1e-6
+
+
+def test_local_search_without_a_seed_raises(monkeypatch):
+    # 14 atoms are too many for the direct topology, and k_max = 0 builds no connector
+    rng = np.random.default_rng(6)
+    mu, nu = random_path(rng, n=1, atoms=7), random_path(rng, n=1, atoms=7)
+    with pytest.raises(ValueError, match="no seed topology: direct topology limited to 12 atoms, got 14"):
+        local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=0))
+    # every seed has too many cycles to certify
+
+    def explode(*args, **kwargs):
+        raise CycleExplosionError(SEARCH_CYCLE_CAP + 1, SEARCH_CYCLE_CAP)
+
+    monkeypatch.setattr(optimize, "strip_strong_cycles", explode)
+    mu, nu = random_path(rng, n=1, atoms=3), random_path(rng, n=1, atoms=2)
+    with pytest.raises(ValueError, match=f"every seed candidate has more than {SEARCH_CYCLE_CAP} simple cycles"):
+        local_search(mu, nu, power_cost(0.8), 2, 0.3, FAST)
 
 
 def test_determinism_same_seed_same_report():

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.optimize import linprog
@@ -22,7 +23,7 @@ from branchflow import wasserstein
 from branchflow.lp import _SampleLP
 from branchflow.wasserstein import _merge_difference, lid1_dual_lp, lower_bound_terms, measure_at
 
-from conftest import random_path
+from conftest import random_path, triplets
 
 
 def test_lid1_two_deltas():
@@ -238,7 +239,7 @@ def test_transport_lp_without_presolve_matches_linprog():
         supply, demand = rng.uniform(0.05, 1.0, size=m), rng.uniform(0.05, 1.0, size=l)
         demand *= supply.sum() / demand.sum()
         cost = rng.uniform(0.0, 2.0, size=m * l)
-        sample_lp = _SampleLP(B, np.inf, presolve=False)
+        sample_lp = _SampleLP(*triplets(B), np.inf, presolve=False)
         for c, rhs in ((cost, np.concatenate([supply, demand])),
                        (np.ldexp(cost, 19), np.ldexp(np.concatenate([supply, demand]), 20))):
             x = sample_lp.solve(c, rhs)
@@ -261,9 +262,9 @@ def test_lower_bound_terms_builds_one_transport_solver_per_atom_count_pair(monke
     built = []
 
     class CountingLP(_SampleLP):
-        def __init__(self, B, ub, presolve=True, share=None):
+        def __init__(self, *args, presolve=True):
             built.append(presolve)
-            super().__init__(B, ub, presolve, share)
+            super().__init__(*args, presolve=presolve)
 
     rng = np.random.default_rng(41)
     mu = random_path(rng, n=2, atoms=12, n_samples=8)
@@ -278,20 +279,19 @@ def test_lower_bound_terms_builds_one_transport_solver_per_atom_count_pair(monke
 
 
 def test_transport_shapes_sharing_one_solver_match_a_solver_each():
-    # every shape of one dict runs on one HiGHS solver; each lid1 must equal a lone solver's
+    # every shape runs on this thread's presolve-free HiGHS solver, one after another, and on
+    # a new solver in a new thread; each lid1 must equal the lone solver's
     rng = np.random.default_rng(44)
-    solvers = {}
+    pairs = []
     for _ in range(80):
         k1, k2, n = (int(k) for k in rng.integers((1, 1, 1), (9, 9, 3)))
-        m1, m2 = _pair_with_single_atom_sides(rng, k1, k2, n)
-        assert lid1(m1, m2, solvers=solvers).hex() == lid1(m1, m2).hex()
-    assert len({lp._highs for lp in solvers.values()}) == 1 and len(solvers) > 20
-
-
-def test_sample_lp_share_needs_the_same_presolve():
-    B = _transport_matrix(2, 3)
-    with pytest.raises(ValueError, match="presolve"):
-        _SampleLP(B, np.inf, presolve=True, share=_SampleLP(B, np.inf, presolve=False))
+        pairs.append(_pair_with_single_atom_sides(rng, k1, k2, n))
+    solvers = {}
+    shared = [lid1(m1, m2, solvers=solvers).hex() for m1, m2 in pairs]
+    assert not any(lp._presolve for lp in solvers.values()) and len(solvers) > 20
+    for (m1, m2), value in zip(pairs, shared):
+        with ThreadPoolExecutor(max_workers=1) as lone:
+            assert lone.submit(lid1, m1, m2).result().hex() == value
 
 
 def _pair_with_single_atom_sides(rng, k1, k2, n):
@@ -309,7 +309,7 @@ def test_lid1_without_presolve_matches_presolve_and_dual(monkeypatch):
              for n in (1, 2) for k1 in (1, 2, 5) for k2 in (1, 3, 6)]
     values = [lid1(m1, m2) for m1, m2 in pairs]
     with monkeypatch.context() as patch:
-        patch.setattr(wasserstein, "_SampleLP", lambda B, ub, presolve, share: _SampleLP(B, ub, presolve=True))
+        patch.setattr(wasserstein, "_SampleLP", lambda *args, presolve: _SampleLP(*args, presolve=True))
         presolved = [lid1(m1, m2) for m1, m2 in pairs]
     for (m1, m2), value, ref in zip(pairs, values, presolved):
         assert value == pytest.approx(ref, rel=1e-12)
