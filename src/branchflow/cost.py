@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import _freeze
+from .measures import _freeze, _require_finite
 
 SUBADDITIVITY_TOL = 1e-12
 
@@ -109,6 +109,7 @@ def tabulated_cost(samples, witness=None) -> TransportCost:
     table = np.asarray(samples, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
         raise ValueError("tabulated cost needs an (m, 2) table with m >= 2")
+    _require_finite(table, "cost sample")
     s, v = table[:, 0], table[:, 1]
     if s[0] != 0.0 or v[0] != 0.0:
         raise ValueError("tabulated cost must start at (0, 0)")
@@ -124,6 +125,7 @@ def tabulated_cost(samples, witness=None) -> TransportCost:
         wtab = np.asarray(witness, dtype=float)
         if wtab.ndim != 2 or wtab.shape[1] != 2:
             raise ValueError("witness must be an (m, 2) table")
+        _require_finite(wtab, "witness sample")
         if np.any(np.diff(wtab[:, 0]) <= 0):
             raise ValueError("witness abscissae must be strictly increasing")
 

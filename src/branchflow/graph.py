@@ -18,6 +18,8 @@ import numpy as np
 from .measures import (
     AtomicMeasurePath,
     TimeGrid,
+    _check_lambda,
+    _check_p,
     _freeze,
     _require_finite,
     lp_time_norm,
@@ -203,11 +205,6 @@ def m_tau_p(G: TransportGraph, tau, p) -> float:
     """Discrete L^p-in-time norm of sum_e tau(w(e, t)) * length(e)."""
     _check_p(p)
     return lp_time_norm(_tau_mass_series(G.lengths, G.weights, tau), p)
-
-
-def _check_p(p):
-    if not math.isinf(p) and not p > 1:
-        raise ValueError("p must lie in (1, inf]")
 
 
 def derivative_graph(G: TransportGraph) -> TransportGraph:
@@ -428,8 +425,7 @@ def energy(G: TransportGraph, tau, p, lam: float, cycle_cap: int = DEFAULT_CYCLE
     no strong cycle the result equals m_tau_p + lam * ||G'||.
     """
     _check_p(p)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    _check_lambda(lam)
     cycles = enumerate_cycles(G, cap=cycle_cap)
     order, exact = max_order(G, cycles, p)
     mass = m_tau_p(G, tau, p)
@@ -510,79 +506,43 @@ def eliminate_cycles(G: TransportGraph, a_plus: AtomicMeasurePath, a_minus: Atom
     return strip_strong_cycles(G, p, cycle_cap=cycle_cap)
 
 
-_DIAG_CACHE: dict[int, list[np.ndarray]] = {}
-
-
-def _direction_sequence(n: int) -> list[np.ndarray]:
-    if n in _DIAG_CACHE:
-        return _DIAG_CACHE[n]
-    dirs = []
-    for d in range(n):
-        for s in (1.0, -1.0):
-            v = np.zeros(n)
-            v[d] = s
-            dirs.append(v)
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        v = np.array(signs) / math.sqrt(n)
-        dirs.append(v)
-    for d in range(n):
-        for s in (1.0, -1.0):
-            v = np.ones(n)
-            v[d] = 2.0 * s
-            dirs.append(v / np.linalg.norm(v))
-    _DIAG_CACHE[n] = dirs[:32]
-    return _DIAG_CACHE[n]
+def _min_spacing(points: np.ndarray) -> float:
+    """Smallest positive distance between rows of ``points``; inf when there is none."""
+    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    positive = d[d > 0]
+    return float(positive.min()) if positive.size else math.inf
 
 
 def separate_supports(a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath, delta: float):
-    """Relocate shared sink atoms by delta and return the patch edges.
+    """Move every shared sink atom by delta e_1 and return the patch edges.
 
-    For every point in both supports, the sink atom moves to a fresh
-    point at distance delta (deterministic direction search) and a patch
-    edge old -> new with the sink's weight trajectory is returned.  A
-    graph feasible for (a_plus, a_minus) plus the patch is feasible for
-    (a_plus, moved a_minus).
+    For every point in both supports, the sink atom moves to x + delta e_1
+    and a patch edge old -> new with the sink's weight trajectory is
+    returned, in sorted order of the shared points.  A graph feasible for
+    (a_plus, a_minus) plus the patch is feasible for (a_plus, moved
+    a_minus).  With s the smallest positive distance between support
+    points, delta < s/2 is required, and then the moved points are fresh:
+    a moved atom lies at least s - delta > delta from every other original
+    point, and two moved atoms keep their original distance, at least s.
     """
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     shared = sorted(a_plus.support() & a_minus.support())
     if not shared:
         return a_minus, empty_graph(a_minus.dimension, a_minus.grid)
-    all_pts = np.vstack([a_plus.points, a_minus.points])
-    min_dist = np.inf
-    for i in range(len(all_pts)):
-        d = np.linalg.norm(all_pts - all_pts[i], axis=1)
-        d[i] = np.inf
-        positive = d[d > 0]
-        if positive.size:
-            min_dist = min(min_dist, float(positive.min()))
-    if math.isfinite(min_dist) and delta >= min_dist / 2.0:
-        raise ValueError(f"delta {delta} must be below half the minimum point spacing {min_dist / 2.0}")
-
-    occupied = {tuple(p) for p in all_pts}
+    spacing = _min_spacing(np.vstack([a_plus.points, a_minus.points]))
+    if delta >= spacing / 2.0:
+        raise ValueError(f"delta {delta} must be below half the minimum point spacing {spacing / 2.0}")
+    sink_index = {key: i for i, key in enumerate(map(tuple, a_minus.points))}
+    rows = [sink_index[key] for key in shared]
+    old = a_minus.points[rows]
+    new = old + delta * np.eye(a_minus.dimension)[0]
+    if np.any(new[:, 0] == old[:, 0]):
+        raise ValueError(f"delta {delta} is below the floating-point resolution of a shared point")
     new_points = a_minus.points.copy()
-    patch_edges = []
-    patch_weights = []
-    sink_index = {tuple(p): i for i, p in enumerate(a_minus.points)}
-    for key in shared:
-        x = np.array(key)
-        placed = None
-        for direction in _direction_sequence(a_minus.dimension):
-            cand = x + delta * direction
-            ck = tuple(cand)
-            if ck in occupied:
-                continue
-            if any(np.linalg.norm(cand - np.array(o)) < delta / 2.0 for o in occupied):
-                continue
-            placed = cand
-            break
-        if placed is None:
-            raise ValueError(f"could not place a relocated atom near {key} after 32 attempts")
-        occupied.add(tuple(placed))
-        i = sink_index[key]
-        new_points[i] = placed
-        patch_edges.append((x, placed))
-        patch_weights.append(a_minus.weights[i])
+    new_points[rows] = new
     moved = AtomicMeasurePath(new_points, a_minus.weights, a_minus.grid)
-    patch = graph_from_paths(None, patch_edges, np.array(patch_weights), a_minus.grid)
+    patch = graph_from_paths(None, zip(old, new), a_minus.weights[rows], a_minus.grid)
     return moved, patch
 
 

@@ -62,6 +62,16 @@ def _require_finite(table: np.ndarray, row: str, weights: bool = False) -> None:
     raise ValueError(f"non-finite coordinate for {row} {i}: {table[i].tolist()}")
 
 
+def _check_p(p):
+    if not math.isinf(p) and not p > 1:
+        raise ValueError("p must lie in (1, inf]")
+
+
+def _check_lambda(lam):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
+
+
 @dataclass(frozen=True)
 class AtomicMeasurePath:
     """Fixed atoms with nonnegative periodic weight trajectories summing to 1."""
@@ -166,8 +176,7 @@ def lp_time_norm(values, p) -> float:
 
 def sobolev_seminorm(a: AtomicMeasurePath, p) -> float:
     """Discrete L^p norm of the total variation of the weight derivative."""
-    if not math.isinf(p) and p <= 1:
-        raise ValueError("seminorm requires p > 1")
+    _check_p(p)
     nu = derivative_path(a)
     tv = np.abs(nu.weights).sum(axis=0)
     return lp_time_norm(tv, p)

@@ -34,6 +34,7 @@ from .graph import (
     TransportGraph,
     _boundary_matrix,
     _derivative_series,
+    _min_spacing,
     _tau_mass_series,
     cancel_antiparallel,
     empty_graph,
@@ -365,15 +366,8 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
         witness = empty_graph(mu_plus.dimension, mu_plus.grid)
         return DistanceReport(lower, 0.0, witness, baselines, 0, -lower)
 
-    shared = mu_plus.support() & mu_minus.support()
-    patch = None
-    target = mu_minus
-    if shared:
-        all_pts = np.vstack([mu_plus.points, mu_minus.points])
-        dists = [np.linalg.norm(a - b) for i, a in enumerate(all_pts) for b in all_pts[i + 1:]
-                 if np.linalg.norm(a - b) > 0]
-        delta = min(1e-9, (min(dists) / 4.0) if dists else 1e-9)
-        target, patch = separate_supports(mu_plus, mu_minus, delta)
+    delta = min(1e-9, _min_spacing(np.vstack([mu_plus.points, mu_minus.points])) / 4.0)
+    target, patch = separate_supports(mu_plus, mu_minus, delta)
 
     candidates: list[TransportGraph] = []
     try:
@@ -422,15 +416,9 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
         else:
             stall += 1
 
-    witness = prune_zero_edges(incumbent)
-    if patch is not None and patch.n_edges:
-        reversed_patch = graph_from_paths(
-            None,
-            [(patch.vertices[patch.edges[e, 1]], patch.vertices[patch.edges[e, 0]])
-             for e in range(patch.n_edges)],
-            patch.weights,
-            patch.grid,
-        )
+    witness = incumbent
+    if patch.n_edges:
+        reversed_patch = TransportGraph(patch.vertices, patch.edges[:, ::-1], patch.weights, patch.grid)
         witness = cancel_antiparallel(merge_graphs(witness.grid, witness, reversed_patch))
         if not is_never_cyclic(witness):
             witness = strip_strong_cycles(witness, p, cycle_cap=SEARCH_CYCLE_CAP)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cost import TransportCost, rho
 from .lp import _SampleLP
-from .measures import AtomicMeasurePath, _bucket, derivative_path, lp_time_norm
+from .measures import AtomicMeasurePath, _bucket, _check_lambda, _check_p, derivative_path, lp_time_norm
 
 BALANCE_TOL = 1e-9
 ATOM_TOL = 1e-14
@@ -184,6 +184,8 @@ def lower_bound(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
 
 def lower_bound_terms(mu_plus, mu_minus, tau, p, lam) -> dict:
     """The two L^p terms, rho(tau, 1) and the bound they give, without warnings."""
+    _check_p(p)
+    _check_lambda(lam)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r = rho(tau, 1.0)

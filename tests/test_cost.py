@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,16 @@ def test_tabulated_rejects_superadditive_table():
 def test_tabulated_rejects_decreasing_values():
     with pytest.raises(ValueError):
         tabulated_cost([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulated_rejects_non_finite_sample_and_witness_entries(bad):
+    with pytest.raises(ValueError, match="non-finite coordinate for cost sample 1"):
+        tabulated_cost([[0.0, 0.0], [0.5, bad], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite coordinate for cost sample 2"):
+        tabulated_cost([[0.0, 0.0], [0.5, 0.6], [bad, 1.0]])
+    with pytest.raises(ValueError, match="non-finite coordinate for witness sample 1"):
+        tabulated_cost([[0.0, 0.0], [1.0, 1.0]], witness=[[0.0, 0.0], [bad, 1.0]])
 
 
 def test_admissible_power_examples():

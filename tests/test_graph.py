@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchflow import (
     TimeGrid,
@@ -29,6 +31,7 @@ from branchflow.graph import (
     _boundary_matrix,
     _bracket,
     _greedy_order,
+    _min_spacing,
     _net_inflow,
     _order_values,
     cancel_antiparallel,
@@ -395,6 +398,12 @@ def test_decompose_invalid_permutation():
 # energy
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_energy_rejects_a_lambda_that_is_not_finite_and_positive(lam):
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        energy(unit_edge(), power_cost(0.5), 2, lam)
+
+
 def test_energy_never_cyclic_two_term_formula():
     G, a_plus, a_minus = cyclic_flow_instance(np.random.default_rng(8))
     tau = power_cost(0.6)
@@ -644,6 +653,72 @@ def test_separate_supports_delta_too_large():
     a = make_atomic_path([[0.0], [0.05]], 0.5 * np.ones((2, 2)), grid)
     with pytest.raises(ValueError, match="half the minimum"):
         separate_supports(a, a, 0.04)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.01, math.nan, math.inf])
+def test_separate_supports_rejects_a_delta_that_is_not_positive_and_finite(delta):
+    a = delta_at(0.0)
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        separate_supports(a, a, delta)
+
+
+def test_separate_supports_moves_shared_atoms_by_delta_along_the_first_axis():
+    grid = TimeGrid(4)
+    a = make_atomic_path([[0.5, 0.5], [0.0, 0.0]], 0.5 * np.ones((2, 4)), grid)
+    w = np.array([[0.2, 0.3, 0.4, 0.5], [0.3, 0.3, 0.3, 0.3], [0.5, 0.4, 0.3, 0.2]])
+    b = make_atomic_path([[0.5, 0.5], [-0.5, 0.0], [0.0, 0.0]], w, grid)
+    delta = 0.01
+    moved, patch = separate_supports(a, b, delta)
+    assert np.array_equal(moved.points[[0, 2]], b.points[[0, 2]] + [delta, 0.0])
+    assert np.array_equal(moved.points[1], b.points[1])
+    assert np.array_equal(moved.weights, b.weights)
+    # one patch edge per shared point, in sorted order of the shared points
+    assert np.array_equal(patch.vertices[patch.edges[:, 0]], [[0.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(patch.vertices[patch.edges[:, 1]], [[delta, 0.0], [0.5 + delta, 0.5]])
+    assert np.array_equal(patch.weights, w[[2, 0]])
+
+
+def test_separate_supports_rejects_a_delta_below_the_float_resolution():
+    grid = TimeGrid(2)
+    a = make_atomic_path([[1e8], [1e8 + 1.0]], 0.5 * np.ones((2, 2)), grid)
+    with pytest.raises(ValueError, match="delta 1e-09 is below the floating-point resolution"):
+        separate_supports(a, a, 1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), frac=st.floats(1e-3, 0.4999))
+@settings(max_examples=60, deadline=None)
+def test_separate_supports_moves_clear_of_every_point_and_patches_the_shared_mass(seed, n, frac):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(4)
+    pool = np.unique(rng.integers(-9, 10, size=(6, n)), axis=0) / 10.0
+    rows = rng.permutation(len(pool))
+    cut = int(rng.integers(1, len(pool) + 1))
+    shared = int(rng.integers(1, cut + 1))
+    extra = int(rng.integers(0, len(pool) - cut + 1))
+
+    def path(idx):
+        w = rng.uniform(0.1, 1.0, size=(len(idx), grid.n_samples))
+        return make_atomic_path(pool[idx], w / w.sum(axis=0), grid)
+
+    a = path(rows[:cut])
+    b = path(rng.permutation(np.concatenate([rows[:shared], rows[cut:cut + extra]])))
+    delta = frac * min(_min_spacing(np.vstack([a.points, b.points])), 1.0)
+    moved, patch = separate_supports(a, b, delta)
+
+    is_shared = np.array([tuple(x) in a.support() for x in b.points])
+    assert is_shared.sum() == shared == patch.n_edges
+    everything = np.vstack([a.points, moved.points])
+    for i in np.flatnonzero(is_shared):
+        d = np.linalg.norm(everything - moved.points[i], axis=1)
+        d[a.n_atoms + i] = np.inf
+        assert d.min() >= delta / 2.0
+    # each patch edge carries one shared sink atom's trajectory from its old point to its new one
+    tails = patch.vertices[patch.edges[:, 0]]
+    heads = patch.vertices[patch.edges[:, 1]]
+    for i in np.flatnonzero(is_shared):
+        e = int(np.flatnonzero((tails == b.points[i]).all(axis=1))[0])
+        assert np.array_equal(heads[e], moved.points[i])
+        assert np.array_equal(patch.weights[e], b.weights[i])
 
 
 def test_cancel_antiparallel_preserves_balance():

@@ -146,6 +146,29 @@ def test_energy_requires_graph(instance_path, capsys):
 
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_energy_rejects_a_lambda_that_is_not_finite(tmp_path, capsys, lam):
+    data = single_edge_instance()
+    data["lambda"] = lam
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["energy", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: lambda must be finite and positive")
+
+
+def test_bounds_rejects_a_nan_p(tmp_path, capsys):
+    data = minimal_instance()
+    data["p"] = math.nan
+    path = tmp_path / "nan_p.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["bounds", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p must lie in (1, inf]")
+
+
 def test_energy_reports_a_cycle_explosion(tmp_path, capsys):
     # every ordered pair of 4 vertices is an edge: 6 + 8 + 6 = 20 simple cycles, more than
     # energy's default cap of 10; the unit flow 0 -> 3 rides on a balanced circulation

@@ -119,6 +119,13 @@ def test_seminorm_inf_is_max():
     assert sobolev_seminorm(a, math.inf) == pytest.approx(np.abs(nu.weights).sum(axis=0).max())
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+def test_seminorm_rejects_p_outside_one_to_infinity(p):
+    a = make_atomic_path([[0.0], [1.0]], [[1, 0], [0, 1]], TimeGrid(2))
+    with pytest.raises(ValueError, match=r"p must lie in \(1, inf\]"):
+        sobolev_seminorm(a, p)
+
+
 def test_dyadic_project_examples():
     a = make_atomic_path([[0.5]], np.ones((1, 4)), TimeGrid(4))
     p1 = dyadic_project(a, 1)

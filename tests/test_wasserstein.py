@@ -177,6 +177,24 @@ def test_lower_bound_terms_report():
     assert terms["lower_bound"] == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_lower_bound_rejects_a_lambda_that_is_not_finite_and_positive(lam):
+    x = make_atomic_path([[0.1]], np.ones((1, 4)), TimeGrid(4))
+    y = make_atomic_path([[0.8]], np.ones((1, 4)), TimeGrid(4))
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        lower_bound(x, y, power_cost(0.5), 2, lam)
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        lower_bound_terms(x, y, power_cost(0.5), 2, lam)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan])
+def test_lower_bound_rejects_p_outside_one_to_infinity(p):
+    x = make_atomic_path([[0.1]], np.ones((1, 4)), TimeGrid(4))
+    y = make_atomic_path([[0.8]], np.ones((1, 4)), TimeGrid(4))
+    with pytest.raises(ValueError, match=r"p must lie in \(1, inf\]"):
+        lower_bound(x, y, power_cost(0.5), p, 0.1)
+
+
 def test_lower_bound_warns_when_rho_differs():
     from branchflow import tabulated_cost
 
