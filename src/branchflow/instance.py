@@ -24,7 +24,7 @@ import numpy as np
 
 from .cost import TransportCost, power_cost, tabulated_cost
 from .graph import TransportGraph, make_graph
-from .measures import AtomicMeasurePath, TimeGrid, _require_finite, make_atomic_path
+from .measures import AtomicMeasurePath, TimeGrid, _check_lambda, _check_p, _require_finite, make_atomic_path
 
 NORMALIZED_HALF_EXTENT = 0.95
 
@@ -276,6 +276,10 @@ def load_instance(path: str) -> InstanceFile:
 
 def instance_from_dict(data: dict) -> InstanceFile:
     _validate_schema(data)
+    p = parse_p(data.get("p", 2))
+    lam = float(data.get("lambda", 1.0))
+    _check_p(p)  # the schema's bounds, like JSON Schema's, let NaN (and lambda = inf) through
+    _check_lambda(lam)
     n = data["dimension"]
     grid = TimeGrid(data["time_samples"])
 
@@ -313,8 +317,6 @@ def instance_from_dict(data: dict) -> InstanceFile:
                            g["edges"], g["weights"], grid)
 
     cost = parse_cost(data["cost"]) if "cost" in data else None
-    p = parse_p(data.get("p", 2))
-    lam = float(data.get("lambda", 1.0))
     return InstanceFile(
         version=data["version"],
         dimension=n,

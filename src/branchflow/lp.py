@@ -12,31 +12,58 @@ The builders hand their constraint matrices over as (row, col, value)
 triplets; only this module knows HiGHS's column-wise format.  Each
 thread keeps one HiGHS solver per presolve setting, and every LP object
 of that thread runs on it.  No module of the package imports
-``scipy.sparse``.
+``scipy.sparse``, and none imports ``scipy.optimize``: the first LP loads
+HiGHS's extension module alone, under its canonical name (``_bindings``).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 
 import numpy as np
 
 
+_CORE = "scipy.optimize._highspy._core"  # canonical name of SciPy's HiGHS extension module
+_load_lock = threading.Lock()
+
+
 @functools.cache
 def _bindings():
-    """SciPy's HiGHS bindings, loaded with the first LP.
+    """SciPy's HiGHS extension module, loaded by itself with the first LP.
 
-    Importing them loads all of ``scipy.optimize`` (about 27 MB resident),
-    which the graph, energy and instance code never needs.
+    ``from scipy.optimize._highspy import _core`` would first import the
+    parent package ``scipy.optimize`` and with it ``scipy.sparse``,
+    ``scipy.linalg``, ``scipy.special``, ``scipy.spatial`` and ``scipy.fft``
+    (about 45 MB resident and 0.5 s), none of which an LP here uses.  So
+    the extension file is loaded alone, under its canonical name: ``_core``
+    is a single-phase pybind11 module, which cannot be initialised a second
+    time under another name, and under this one a later ``import
+    scipy.optimize`` reuses it.  If that import came first, the module it
+    loaded is returned.  The lock stands in for the import lock, as two
+    threads may start their first LP at once.
     """
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError as exc:  # pragma: no cover - depends on the installed SciPy
-        raise ImportError("branchflow needs SciPy >= 1.17.1, whose scipy.optimize._highspy._core "
-                          "holds the HiGHS bindings the weight LPs and the transport solver use") from exc
-    return _core
+    with _load_lock:
+        if _CORE in sys.modules:
+            return sys.modules[_CORE]
+        import scipy
+
+        folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        paths = [os.path.join(folder, "_core" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:  # pragma: no cover - depends on the installed SciPy
+            raise ImportError("branchflow needs SciPy >= 1.17.1, whose scipy.optimize._highspy._core "
+                              "holds the HiGHS bindings the weight LPs and the transport solver use")
+        spec = importlib.util.spec_from_file_location(_CORE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_CORE] = core
+        spec.loader.exec_module(core)
+        return core
 
 
 _local = threading.local()  # this thread's HiGHS solvers, by presolve setting

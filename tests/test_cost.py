@@ -102,6 +102,39 @@ def test_admissible_tabulated_flat_witness_diverges():
     assert "diverges" in diag
 
 
+def _admissible_by_shell_loop(tau, n):
+    # the shell-by-shell loop that _decide_admissible's one numpy pass replaced
+    exponent = 1.0 / n - 2.0
+    hi, total, prev_shell, nondecaying = 1.0, 0.0, math.inf, 0
+    while hi > 1e-12:
+        grid = np.linspace(hi / 2.0, hi, 33)
+        shell = float(np.trapezoid(grid**exponent * tau.eval_witness(grid), grid))
+        total += shell
+        nondecaying = nondecaying + 1 if shell >= prev_shell * 0.999 else 0
+        if nondecaying >= 4:
+            return False, (f"shell integrals stopped decaying near s={hi:.2e}; "
+                           "integral diverges (witness slope too shallow at 0)")
+        prev_shell = shell
+        hi /= 2.0
+    return True, f"shell integration converged, integral ~ {total:.6g}"
+
+
+def test_admissible_shells_match_the_shell_loop():
+    s = np.concatenate([[0.0], np.geomspace(1e-14, 4.0, 60)])
+    costs = [tabulated_cost([[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]],
+                            witness=[[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]])]
+    for alpha in (0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+        table = np.column_stack([s, s**alpha])
+        costs.append(tabulated_cost(table, witness=table))
+    verdicts = []
+    for tau in costs:
+        for n in (1, 2, 3):
+            expected = _admissible_by_shell_loop(tau, n)
+            assert cost._decide_admissible(tau, n) == expected
+            verdicts.append(expected[0])
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_admissible_decided_once_per_cost_and_dimension(monkeypatch):
     decided = []
     real = cost._decide_admissible

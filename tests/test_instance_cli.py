@@ -169,6 +169,20 @@ def test_bounds_rejects_a_nan_p(tmp_path, capsys):
     assert captured.err.startswith("error: p must lie in (1, inf]")
 
 
+@pytest.mark.parametrize("key, value, message", [("lambda", math.nan, "lambda must be finite and positive"),
+                                                  ("lambda", math.inf, "lambda must be finite and positive"),
+                                                  ("p", math.nan, "p must lie in (1, inf]")])
+def test_validate_rejects_a_nan_or_infinite_lambda_and_a_nan_p(tmp_path, capsys, key, value, message):
+    data = minimal_instance()
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
 def test_energy_reports_a_cycle_explosion(tmp_path, capsys):
     # every ordered pair of 4 vertices is an edge: 6 + 8 + 6 = 20 simple cycles, more than
     # energy's default cap of 10; the unit flow 0 -> 3 rides on a balanced circulation

@@ -340,7 +340,7 @@ def test_import_loads_no_graph_library_and_no_lp_bindings():
 
 def test_graph_and_instance_code_load_no_schema_library_and_no_sparse_matrices():
     # scipy.sparse and jsonschema stay unloaded through import, instance parsing, energy and
-    # cycle elimination; scipy.sparse loads with the first LP
+    # cycle elimination
     G, a_plus, a_minus = cyclic_flow_instance(np.random.default_rng(3))
     data = {"version": "1", "dimension": 2, "time_samples": G.grid.n_samples,
             "mu_plus": {"points": a_plus.points.tolist(), "weights": a_plus.weights.tolist()},
