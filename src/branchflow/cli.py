@@ -206,6 +206,10 @@ def cmd_export_plot(args) -> int:
     G = inst.graph
     tau = inst.cost if inst.cost is not None else power_cost(1.0)
     n_samples = G.grid.n_samples
+    samples = [int(s) for s in args.svg_samples.split(",")] if args.svg_samples else [None]
+    for s in samples:
+        if s is not None and not 0 <= s < n_samples:
+            raise ValueError(f"--svg-samples index {s} is outside [0, {n_samples})")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "edge_id", "weight", "tv_norm", "s_tau"])
@@ -216,7 +220,6 @@ def cmd_export_plot(args) -> int:
         for e in range(G.n_edges):
             writer.writerow([j / n_samples, e, G.weights[e, j], tv, s_tau])
     _atomic_write(args.out_csv, buf.getvalue())
-    samples = [int(s) for s in args.svg_samples.split(",")] if args.svg_samples else [None]
     for s in samples:
         svg = _render_svg(G, s)
         path = args.out_svg if s is None else args.out_svg.replace(".svg", f"_s{s}.svg")

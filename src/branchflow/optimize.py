@@ -164,8 +164,7 @@ def _coupled_matrix(G: TransportGraph, n: int):
 
 
 def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath,
-                     tau: TransportCost, p, lam: float, cfg: OptimizerConfig,
-                     rng: np.random.Generator | None = None) -> TransportGraph:
+                     tau: TransportCost, p, lam: float, cfg: OptimizerConfig) -> TransportGraph:
     """Best feasible weights found for a fixed topology.
 
     Raises when no feasible assignment exists.  The returned weights
@@ -176,7 +175,7 @@ def optimize_weights(topology: TransportGraph, a_plus: AtomicMeasurePath, a_minu
         if kirchhoff_residual(topology, a_plus, a_minus) > 1e-9:
             raise ValueError("infeasible topology: no edges but unbalanced boundary")
         return topology
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     n, ne = topology.grid.n_samples, topology.n_edges
     lengths = topology.lengths
     p_eff = min(p, 16.0) if not math.isinf(p) else 16.0
@@ -344,10 +343,12 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
                  cfg: OptimizerConfig | None = None) -> DistanceReport:
     """Bracket the distance between two atomic paths.
 
-    Seeds from the best connector-based witness and a direct topology,
-    then alternates strictly-improving moves (junction insertion,
-    perturbation, edge insertion, reoptimization); the best seed survives
-    when the search stalls.  Raises ValueError when no seed is usable.
+    Seeds from the direct topology; above ``DIRECT_MAX_ATOMS`` atoms,
+    where ``direct_topology`` refuses, from the best depth-1..k_max
+    connector witness instead.  Then alternates strictly-improving moves
+    (junction insertion, perturbation, edge insertion, reoptimization);
+    the seed survives when no move improves it.  Raises ValueError when
+    no seed is usable.
     The witness has no parallel edges: the seeds have none, ``add_edge``
     skips an existing pair, and each of a junction's new edges has the new
     vertex as one end.
@@ -355,27 +356,22 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
     lower = wasserstein.lower_bound(mu_plus, mu_minus, tau, p, lam)
-    baselines: dict[int, float] = {}
-    for k in range(1, cfg.k_max + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            val, _ = baseline_upper(mu_plus, mu_minus, tau, p, lam, k)
-        baselines[k] = val
+    baselines = {k: energy(connector(mu_plus, mu_minus, k)[0], tau, p, lam).total
+                 for k in range(1, cfg.k_max + 1)}
 
     if _paths_equal(mu_plus, mu_minus):
-        witness = empty_graph(mu_plus.dimension, mu_plus.grid)
-        return DistanceReport(lower, 0.0, witness, baselines, 0, -lower)
+        witness, upper = empty_graph(mu_plus.dimension, mu_plus.grid), 0.0
+        return DistanceReport(lower, upper, witness, baselines, 0, upper - lower)
 
     delta = min(1e-9, _min_spacing(np.vstack([mu_plus.points, mu_minus.points])) / 4.0)
     target, patch = separate_supports(mu_plus, mu_minus, delta)
 
-    candidates: list[TransportGraph] = []
     try:
-        candidates.append(direct_topology(mu_plus, target))
+        candidates = [direct_topology(mu_plus, target)]
     except ValueError as exc:
-        refused = exc
-    for k in range(1, cfg.k_max + 1):
-        candidates.append(instance_connector_witness(mu_plus, target, k))
+        candidates = [instance_connector_witness(mu_plus, target, k) for k in range(1, cfg.k_max + 1)]
+        if not candidates:
+            raise ValueError(f"no seed topology: {exc}, and k_max = 0 builds no connector witness") from None
 
     incumbent_val = math.inf
     incumbent: TransportGraph | None = None
@@ -386,8 +382,6 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
         if val < incumbent_val:
             incumbent_val, incumbent = val, g
     if incumbent is None:
-        if not candidates:
-            raise ValueError(f"no seed topology: {refused}, and k_max = 0 builds no connector witness")
         raise ValueError(f"no seed topology: every seed candidate has more than {SEARCH_CYCLE_CAP} "
                          "simple cycles after weight optimization")
 
@@ -490,7 +484,7 @@ def _propose(G: TransportGraph, move: str, boundary_points: set, steiner_added: 
                 return TransportGraph(verts, edges, weights, G.grid), False
         return None
     if move == "reoptimize":
-        return TransportGraph(verts, G.edges, G.weights, G.grid), False
+        return G, False
     return None
 
 

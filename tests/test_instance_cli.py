@@ -241,6 +241,15 @@ def test_optimize_without_a_seed_topology_exits_1(tmp_path, capsys):
     assert err.startswith("error: no seed topology") and "k_max = 0" in err
 
 
+def test_optimize_reports_a_positive_zero_gap_for_identical_paths(tmp_path, capsys):
+    data = minimal_instance()
+    data["mu_minus"] = data["mu_plus"]
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["optimize", str(path), "--k-max", "1", "--iters", "4"]) == 0
+    assert '"gap": 0.0,' in capsys.readouterr().out
+
+
 def test_optimize_deterministic_given_seed(tmp_path, instance_path, capsys):
     run_subcommand(["optimize", instance_path, "--iters", "6", "--seed", "3", "--k-max", "1"])
     first = capsys.readouterr().out
@@ -300,3 +309,16 @@ def test_export_plot_sample_frames(tmp_path):
                            "--out-svg", str(out_svg), "--svg-samples", "0,2"]) == 0
     assert (tmp_path / "geom_s0.svg").exists()
     assert (tmp_path / "geom_s2.svg").exists()
+
+
+@pytest.mark.parametrize("index", [4, -1])
+def test_export_plot_rejects_a_sample_index_outside_the_grid_before_writing(tmp_path, capsys, index):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(single_edge_instance()))  # 4 samples
+    out_csv = tmp_path / "series.csv"
+    out_svg = tmp_path / "geom.svg"
+    assert run_subcommand(["export-plot", str(path), "--out-csv", str(out_csv),
+                           "--out-svg", str(out_svg), "--svg-samples", f"0,{index}"]) == 1
+    assert capsys.readouterr().err == f"error: --svg-samples index {index} is outside [0, 4)\n"
+    assert not out_csv.exists()
+    assert not list(tmp_path.glob("*.svg"))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -560,6 +561,54 @@ def test_local_search_without_a_seed_raises(monkeypatch):
     mu, nu = random_path(rng, n=1, atoms=3), random_path(rng, n=1, atoms=2)
     with pytest.raises(ValueError, match=f"every seed candidate has more than {SEARCH_CYCLE_CAP} simple cycles"):
         local_search(mu, nu, power_cost(0.8), 2, 0.3, FAST)
+
+
+@pytest.mark.parametrize("atoms", [(3, 2), (6, 6)])
+def test_local_search_seeds_only_from_the_direct_topology_up_to_twelve_atoms(monkeypatch, atoms):
+    def refuse(*args, **kwargs):
+        raise AssertionError("connector witness built although the direct topology applies")
+
+    monkeypatch.setattr(optimize, "instance_connector_witness", refuse)
+    rng = np.random.default_rng(11)
+    mu, nu = random_path(rng, n=1, atoms=atoms[0]), random_path(rng, n=1, atoms=atoms[1])
+    rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=2))
+    assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-6
+
+
+def test_local_search_seeds_from_every_connector_witness_above_twelve_atoms(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return instance_connector_witness(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "instance_connector_witness", counting)
+    rng = np.random.default_rng(12)
+    mu, nu = random_path(rng, n=1, atoms=7), random_path(rng, n=1, atoms=7)
+    rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=2, iterations=2))
+    assert calls == [1, 2]
+    assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.4])  # admissible in the plane iff alpha > 1 - 1/2
+def test_report_baselines_equal_baseline_upper_bitwise(alpha):
+    rng = np.random.default_rng(13)
+    mu, nu = random_path(rng, n=2, atoms=3), random_path(rng, n=2, atoms=2)
+    tau = power_cost(alpha)
+    rep = local_search(mu, nu, tau, 2, 0.3, replace(FAST, k_max=3))
+    assert sorted(rep.baseline_upper) == [1, 2, 3]
+    for k, value in rep.baseline_upper.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = baseline_upper(mu, nu, tau, 2, 0.3, k)[0]
+        assert value.hex() == expected.hex()
+
+
+def test_identical_paths_report_a_positive_zero_gap():
+    rng = np.random.default_rng(14)
+    a = random_path(rng, n=1, atoms=2)
+    rep = local_search(a, a, power_cost(0.5), 2, 0.1, FAST)
+    assert rep.gap == 0.0 and math.copysign(1.0, rep.gap) == 1.0
 
 
 def test_determinism_same_seed_same_report():
