@@ -220,10 +220,10 @@ def cmd_export_plot(args) -> int:
         for e in range(G.n_edges):
             writer.writerow([j / n_samples, e, G.weights[e, j], tv, s_tau])
     _atomic_write(args.out_csv, buf.getvalue())
+    root, ext = os.path.splitext(args.out_svg)  # the suffix of the file name only
     for s in samples:
         svg = _render_svg(G, s)
-        path = args.out_svg if s is None else args.out_svg.replace(".svg", f"_s{s}.svg")
-        _atomic_write(path, svg)
+        _atomic_write(args.out_svg if s is None else f"{root}_s{s}{ext}", svg)
     return 0
 
 

@@ -166,6 +166,28 @@ def connector_energy_bound(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePa
     return mass + lam * deriv
 
 
+def _bridge_shift(n: int, k: int) -> np.ndarray:
+    """2^(-k) e_1: the offset of the mu_minus tree, and the bridge's length."""
+    shift = np.zeros(n)
+    shift[0] = 2.0 ** (-k)
+    return shift
+
+
+def _connector_graph(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k: int) -> TransportGraph:
+    """The graph of ``connector``, without its boundary projections."""
+    if k < 1:
+        raise ValueError("depth must be >= 1")
+    if mu_plus.grid.n_samples != mu_minus.grid.n_samples:
+        raise ValueError("time grids do not match")
+    n = mu_plus.dimension
+    shift = _bridge_shift(n, k)
+    plus_edges, plus_rows = _tree_edges(mu_plus, k, reverse=False)
+    minus_edges, minus_rows = _tree_edges(mu_minus, k, reverse=True, shift=shift)
+    edges = plus_edges + minus_edges + [(shift, np.zeros(n))]
+    rows = plus_rows + minus_rows + [np.ones(mu_plus.grid.n_samples)]
+    return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
+
+
 def connector(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k: int):
     """Glued pair of depth-k trees joined by a short bridge.
 
@@ -177,19 +199,7 @@ def connector(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k: int):
     descends the mu_plus tree.  The result is a DAG with disjoint
     boundary supports and balance residual at machine precision.
     """
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    if mu_plus.grid.n_samples != mu_minus.grid.n_samples:
-        raise ValueError("time grids do not match")
-    n = mu_plus.dimension
-    shift = np.zeros(n)
-    shift[0] = 2.0 ** (-k)
-    plus_edges, plus_rows = _tree_edges(mu_plus, k, reverse=False)
-    minus_edges, minus_rows = _tree_edges(mu_minus, k, reverse=True, shift=shift)
-    edges = plus_edges + minus_edges + [(shift, np.zeros(n))]
-    rows = plus_rows + minus_rows + [np.ones(mu_plus.grid.n_samples)]
-    G = prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
-
+    G = _connector_graph(mu_plus, mu_minus, k)
     a_minus_k = dyadic_project(mu_plus, k)
-    a_plus_k = dyadic_project(mu_minus, k).shifted(shift)
+    a_plus_k = dyadic_project(mu_minus, k).shifted(_bridge_shift(mu_plus.dimension, k))
     return G, a_plus_k, a_minus_k

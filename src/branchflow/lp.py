@@ -126,7 +126,15 @@ class _SampleLP:
         self._lp, self._ub, self._presolve = lp, ub, presolve
 
     def solve(self, cost, rhs):
-        """Optimal x for one (c, b), or None where linprog reports failure; one HiGHS run."""
+        """Optimal x for one (c, b), or None where linprog reports failure; one HiGHS run.
+
+        The acceptance test is ``_check_result``'s: no NaN in x, in the
+        objective or in the equality residual, bounds and equalities met
+        within tol.  It reads the objective through ``getObjectiveValue``
+        (the value ``getInfo`` reports, without building the whole info
+        record) and tests x and the residual by their extremes: a NaN
+        fails each comparison, as the elementwise test fails it.
+        """
         cost = np.asarray(cost, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         if not (np.isfinite(cost).all() and np.isfinite(rhs).all()):  # linprog raises here too
@@ -141,8 +149,9 @@ class _SampleLP:
         sol = h.getSolution()
         x = np.array(sol.col_value)
         con = rhs - np.array(sol.row_value)
-        tol = self._TOL  # _check_result: no NaN, bounds and equalities within tol
-        if (np.isnan(x).any() or math.isnan(h.getInfo().objective_function_value) or np.isnan(con).any()
-                or not np.all((x >= -tol) & (x <= self._ub + tol)) or (np.abs(con) > tol).any()):
+        tol = self._TOL
+        if (math.isnan(h.getObjectiveValue())
+                or not (x.min(initial=math.inf) >= -tol and x.max(initial=-math.inf) <= self._ub + tol)
+                or not (con.min(initial=0.0) >= -tol and con.max(initial=0.0) <= tol)):
             return None
         return x

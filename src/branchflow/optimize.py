@@ -28,7 +28,7 @@ import numpy as np
 
 from . import wasserstein
 from .cost import TransportCost, check_admissible
-from .dyadic import _tree_edges, connector
+from .dyadic import _bridge_shift, _connector_graph, _tree_edges
 from .graph import (
     CycleExplosionError,
     TransportGraph,
@@ -247,7 +247,7 @@ def baseline_upper(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     ok, diag = check_admissible(tau, mu_plus.dimension)
     if not ok:
         warnings.warn(f"cost is not admissible ({diag}); the bound degrades as k grows", stacklevel=2)
-    G, _, _ = connector(mu_plus, mu_minus, k)
+    G = _connector_graph(mu_plus, mu_minus, k)
     report = energy(G, tau, p, lam)
     return report.total, G
 
@@ -274,8 +274,7 @@ def instance_connector_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasu
     atoms.
     """
     n = mu_plus.dimension
-    shift = np.zeros(n)
-    shift[0] = 2.0 ** (-k)
+    shift = _bridge_shift(n, k)
     edges, rows = _gather_edges(mu_plus, k, reverse=False)
     for piece_edges, piece_rows in (_tree_edges(mu_plus, k, reverse=True),
                                     ([(np.zeros(n), shift)], [np.ones(mu_plus.grid.n_samples)]),
@@ -356,7 +355,7 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(cfg.seed)
     lower = wasserstein.lower_bound(mu_plus, mu_minus, tau, p, lam)
-    baselines = {k: energy(connector(mu_plus, mu_minus, k)[0], tau, p, lam).total
+    baselines = {k: energy(_connector_graph(mu_plus, mu_minus, k), tau, p, lam).total
                  for k in range(1, cfg.k_max + 1)}
 
     if _paths_equal(mu_plus, mu_minus):

@@ -4,9 +4,14 @@ certified lower bound for the transport distance.
 The primal route solves the balanced transport problem between the
 positive and negative parts of the difference as a transportation LP on
 the complete bipartite support graph, with HiGHS (``lp._SampleLP``).
-Its constraint matrix depends only on the atom counts (m, l), so one
-LP per (m, l) serves every sample of a path norm, and both path norms
-of ``lower_bound_terms``; all of them run on the calling thread's
+A path norm builds its pair's geometry once: one bucketing of the union
+support over the whole signed weight table, and one distance matrix on
+it.  Each sample then drops its tiny weights, splits the rest by sign
+and takes the positive-by-negative block of that matrix as its cost.
+``lid1`` is the one-sample case of the same kernel.
+The LP's constraint matrix depends only on the atom counts (m, l), so
+one LP per (m, l) serves every sample of a path norm, and both path
+norms of ``lower_bound_terms``; all of them run on the calling thread's
 HiGHS solver.
 Presolve is off: only the optimal value is used, and it is unique, so
 any optimal vertex gives it, and each solve returns what
@@ -75,18 +80,15 @@ def _transport_solver(solvers: dict, m: int, l: int) -> _SampleLP:
     return lp
 
 
-def _min_cost_transport(p_pts, p_mass, q_pts, q_mass, solvers: dict) -> float:
-    """Exact balanced transport cost, as a transportation LP on HiGHS.
+def _min_cost_transport(cost, p_mass, q_mass, solvers: dict) -> float:
+    """Exact balanced transport cost for an (m, l) cost matrix, as a transportation LP on HiGHS.
 
     The LP comes from ``solvers``, keyed by the atom counts (m, l), and
     is solved without presolve: the optimal value is unique, and the
     result is that of ``linprog(..., method="highs",
     options={"presolve": False})`` bit for bit.
     """
-    m, l = len(p_mass), len(q_mass)
-    if m == 0 or l == 0:
-        return 0.0
-    cost = np.linalg.norm(p_pts[:, None, :] - q_pts[None, :, :], axis=2)
+    m, l = cost.shape
     demand = q_mass * (p_mass.sum() / q_mass.sum())  # remove the residual imbalance exactly
     rhs = np.concatenate([p_mass, demand])
     # HiGHS's primal and dual feasibility tolerances are absolute (1e-7): on unit-scale
@@ -101,25 +103,46 @@ def _min_cost_transport(p_pts, p_mass, q_pts, q_mass, solvers: dict) -> float:
     return float(np.ldexp(np.sum(x.reshape(m, l) * cost), -mass_exp))
 
 
+def _lid1_samples(a_points, a_table, b_points, b_table, solvers: dict) -> np.ndarray:
+    """Transport distance at every sample between two weight tables, (k, N) each.
+
+    The union support is bucketed once over the signed table [a; -b],
+    and its pairwise distances are computed once.  Each sample then
+    checks its balance, drops its weights at most ``ATOM_TOL``, splits
+    the rest by sign and solves one transport LP on the matching block
+    of the distance matrix.
+    """
+    # one contiguous row per sample, so each total is summed as a lone sample's weights are
+    a_rows, b_rows = np.ascontiguousarray(a_table.T), np.ascontiguousarray(b_table.T)
+    pts, table = _bucket(np.vstack([a_points, b_points]), np.concatenate([a_table, -b_table]))
+    with np.errstate(invalid="ignore"):  # an infinite coordinate's self-distance; the LP rejects such data
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    vals = np.zeros(len(a_rows))
+    for j, (a, b, d) in enumerate(zip(a_rows, b_rows, table.T)):
+        a_total, b_total = float(a.sum()), float(b.sum())
+        if abs(a_total - b_total) > BALANCE_TOL:
+            raise ValueError(f"totals differ: {a_total} vs {b_total}")
+        atoms = np.flatnonzero(np.abs(d) > ATOM_TOL)
+        d = d[atoms]
+        pos = d > 0
+        p_mass, q_mass = d[pos], -d[~pos]
+        if p_mass.sum() <= ATOM_TOL or q_mass.sum() <= ATOM_TOL:
+            continue  # no mass to move: the value stays 0
+        vals[j] = _min_cost_transport(dist[np.ix_(atoms[pos], atoms[~pos])], p_mass, q_mass, solvers)
+    return vals
+
+
 def lid1(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure, solvers: dict | None = None) -> float:
     """Transport distance between equal-total atomic measures.
 
     Splits the difference into positive and negative parts and solves
     the balanced problem between them exactly; zero iff the measures
     coincide.  ``solvers`` holds the transport LPs by atom counts; pass
-    one dict to share them across calls.
+    one dict to share them across calls.  This is the one-sample case of
+    ``lid1_path_norm``'s kernel.
     """
-    if abs(m1.total() - m2.total()) > BALANCE_TOL:
-        raise ValueError(f"totals differ: {m1.total()} vs {m2.total()}")
-    pts, d = _merge_difference(m1, m2)
-    if len(d) == 0:
-        return 0.0
-    pos = d > 0
-    p_pts, p_mass = pts[pos], d[pos]
-    q_pts, q_mass = pts[~pos], -d[~pos]
-    if p_mass.sum() <= ATOM_TOL or q_mass.sum() <= ATOM_TOL:
-        return 0.0
-    return _min_cost_transport(p_pts, p_mass, q_pts, q_mass, {} if solvers is None else solvers)
+    return float(_lid1_samples(m1.points, m1.weights[:, None], m2.points, m2.weights[:, None],
+                               {} if solvers is None else solvers)[0])
 
 
 def lid1_dual_lp(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
@@ -149,16 +172,13 @@ def lid1_dual_lp(m1: BalancedSignedMeasure, m2: BalancedSignedMeasure) -> float:
 def lid1_path_norm(A, B, p, solvers: dict | None = None) -> float:
     """Discrete L^p-in-time norm of the per-sample transport distance.
 
-    The samples share one transport solver per atom-count pair, kept in
-    ``solvers`` (a new dict when None).
+    The union support and its distance matrix are built once for the
+    pair; the samples share one transport solver per atom-count pair,
+    kept in ``solvers`` (a new dict when None).
     """
     if A.grid.n_samples != B.grid.n_samples:
         raise ValueError("time grids do not match")
-    n = A.grid.n_samples
-    solvers = {} if solvers is None else solvers
-    vals = np.zeros(n)
-    for j in range(n):
-        vals[j] = lid1(measure_at(A, j), measure_at(B, j), solvers=solvers)
+    vals = _lid1_samples(A.points, A.weights, B.points, B.weights, {} if solvers is None else solvers)
     return lp_time_norm(vals, p)
 
 

@@ -311,6 +311,20 @@ def test_export_plot_sample_frames(tmp_path):
     assert (tmp_path / "geom_s2.svg").exists()
 
 
+@pytest.mark.parametrize("out_svg, frames", [
+    ("geom.png", ["geom_s0.png", "geom_s2.png"]),
+    ("a.svg/out.svg", ["a.svg/out_s0.svg", "a.svg/out_s2.svg"]),
+])
+def test_export_plot_frame_names_split_the_suffix_of_the_file_name(tmp_path, out_svg, frames):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(single_edge_instance()))
+    (tmp_path / "a.svg").mkdir()
+    assert run_subcommand(["export-plot", str(path), "--out-csv", str(tmp_path / "series.csv"),
+                           "--out-svg", str(tmp_path / out_svg), "--svg-samples", "0,2"]) == 0
+    written = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*_s*"))
+    assert written == frames
+
+
 @pytest.mark.parametrize("index", [4, -1])
 def test_export_plot_rejects_a_sample_index_outside_the_grid_before_writing(tmp_path, capsys, index):
     path = tmp_path / "edge.json"

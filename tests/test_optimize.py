@@ -457,6 +457,18 @@ def test_baseline_upper_returns_finite_energy_and_witness():
     assert witness.n_edges > 0
 
 
+def test_baseline_upper_graph_is_the_connector_graph_bytewise():
+    rng = np.random.default_rng(2)
+    for n in (1, 2):
+        mu = random_path(rng, n=n, atoms=4)
+        nu = random_path(rng, n=n, atoms=3)
+        for k in (1, 2, 3):
+            _, witness = baseline_upper(mu, nu, power_cost(0.8), 2, 0.5, k)
+            G = branchflow.connector(mu, nu, k)[0]
+            for field in ("vertices", "edges", "weights"):
+                assert getattr(witness, field).tobytes() == getattr(G, field).tobytes()
+
+
 def test_baseline_upper_warns_for_inadmissible_cost():
     rng = np.random.default_rng(1)
     mu = random_path(rng, n=2, atoms=3)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchflow import (
+    AtomicMeasurePath,
     BalancedSignedMeasure,
     TimeGrid,
     connector,
@@ -21,6 +22,7 @@ from branchflow import (
 )
 from branchflow import wasserstein
 from branchflow.lp import _SampleLP
+from branchflow.measures import lp_time_norm
 from branchflow.wasserstein import _merge_difference, lid1_dual_lp, lower_bound_terms, measure_at
 
 from conftest import random_path, triplets
@@ -140,6 +142,72 @@ def test_path_norm_identical_and_constant():
     y = make_atomic_path([[0.9]], np.ones((1, 4)), TimeGrid(4))
     single = lid1(measure_at(x, 0), measure_at(y, 0))
     assert lid1_path_norm(x, y, 3) == pytest.approx(single)
+
+
+def _lid1_one_sample(m1, m2, solvers):
+    """lid1 as computed one sample at a time: merged difference, sign split, own distances."""
+    if abs(m1.total() - m2.total()) > wasserstein.BALANCE_TOL:
+        raise ValueError(f"totals differ: {m1.total()} vs {m2.total()}")
+    pts, d = _merge_difference(m1, m2)
+    pos = d > 0
+    p_pts, p_mass, q_pts, q_mass = pts[pos], d[pos], pts[~pos], -d[~pos]
+    if p_mass.sum() <= wasserstein.ATOM_TOL or q_mass.sum() <= wasserstein.ATOM_TOL:
+        return 0.0
+    cost = np.linalg.norm(p_pts[:, None, :] - q_pts[None, :, :], axis=2)
+    return wasserstein._min_cost_transport(cost, p_mass, q_mass, solvers)
+
+
+def _path_norm_one_sample_at_a_time(A, B, p, solvers):
+    vals = [_lid1_one_sample(measure_at(A, j), measure_at(B, j), solvers) for j in range(A.grid.n_samples)]
+    return lp_time_norm(vals, p)
+
+
+def _paths_sharing_atoms(rng, n, k1, k2, shared, n_samples=8):
+    """Two random paths whose first ``shared`` atoms sit at the same points."""
+    a = random_path(rng, n=n, atoms=k1, n_samples=n_samples)
+    b = random_path(rng, n=n, atoms=k2, n_samples=n_samples)
+    points = np.vstack([a.points[:shared], b.points[shared:]])
+    return a, make_atomic_path(points, b.weights, b.grid)
+
+
+def test_path_norm_is_the_one_sample_loop_bitwise():
+    rng = np.random.default_rng(45)
+    pairs = []
+    for n in (1, 2, 3):
+        for k1, k2, shared in ((1, 1, 1), (3, 1, 0), (4, 5, 2), (12, 14, 6), (16, 13, 13)):
+            pairs.append(_paths_sharing_atoms(rng, n, k1, k2, shared))
+    # equal at samples 0 and 3, equal up to rounding (below ATOM_TOL) at 5, and at 6 on all
+    # atoms but two; apart elsewhere
+    a = random_path(rng, n=2, atoms=6, n_samples=8)
+    w = random_path(rng, n=2, atoms=6, n_samples=8).weights.copy()
+    w[:, [0, 3]] = a.weights[:, [0, 3]]
+    w[:, [5, 6]] = a.weights[:, [5, 6]] * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, size=(6, 2)))
+    w[:2, 6] = w[1::-1, 6]
+    pairs.append((a, make_atomic_path(a.points, w, a.grid)))
+    pairs.append((a, a))
+    for A, B in pairs:
+        for X, Y in ((A, B), (derivative_path(A), derivative_path(B))):
+            for p in (2, 3, math.inf):
+                solvers, expected_solvers = {}, {}
+                expected = _path_norm_one_sample_at_a_time(X, Y, p, expected_solvers)
+                assert lid1_path_norm(X, Y, p, solvers).hex() == expected.hex()
+                assert sorted(solvers) == sorted(expected_solvers)  # the same LP shapes
+            for j in range(X.grid.n_samples):
+                m1, m2 = measure_at(X, j), measure_at(Y, j)
+                assert lid1(m1, m2).hex() == _lid1_one_sample(m1, m2, {}).hex()
+
+
+def test_path_norm_raises_the_one_sample_error_on_an_unbalanced_sample():
+    rng = np.random.default_rng(46)
+    a, b = _paths_sharing_atoms(rng, 2, 5, 4, 2, n_samples=4)
+    weights = b.weights.copy()
+    weights[:, 2] *= 0.5
+    b = AtomicMeasurePath(b.points, weights, b.grid)
+    with pytest.raises(ValueError, match="totals differ") as expected:
+        _path_norm_one_sample_at_a_time(a, b, 2, {})
+    with pytest.raises(ValueError, match="totals differ") as caught:
+        lid1_path_norm(a, b, 2)
+    assert str(caught.value) == str(expected.value)
 
 
 def test_path_norm_ordering_between_exponents():
