@@ -16,7 +16,7 @@ from . import dyadic, wasserstein
 from .cost import eval_cost, power_cost
 from .graph import CycleExplosionError, energy, kirchhoff_residual, tv_norm
 from .instance import InstanceFile, graph_to_dict, load_instance, parse_p
-from .measures import AtomicMeasurePath, make_atomic_path
+from .measures import AtomicMeasurePath, _bucket, make_atomic_path
 from .optimize import OptimizerConfig, local_search, metric_probe
 
 
@@ -160,13 +160,8 @@ def cmd_bounds(args) -> int:
 
 def _blend_paths(a: AtomicMeasurePath, b: AtomicMeasurePath) -> AtomicMeasurePath:
     """Equal mixture on the union support (third probe path)."""
-    keys = sorted({tuple(p) for p in a.points} | {tuple(p) for p in b.points})
-    index = {k: i for i, k in enumerate(keys)}
-    w = np.zeros((len(keys), a.grid.n_samples))
-    for path in (a, b):
-        for p, row in zip(path.points, path.weights):
-            w[index[tuple(p)]] += 0.5 * row
-    return make_atomic_path(np.array(keys), w, a.grid)
+    points, w = _bucket(np.vstack([a.points, b.points]), 0.5 * np.vstack([a.weights, b.weights]))
+    return make_atomic_path(points, w, a.grid)
 
 
 def perturbation_family(base: AtomicMeasurePath, exponents) -> list[AtomicMeasurePath]:

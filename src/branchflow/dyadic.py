@@ -32,19 +32,14 @@ from .measures import (
 
 
 def _elementary_edges(mu: AtomicMeasurePath, s: float, x: np.ndarray):
-    """Edge list of the elementary flux at (s, x), counting only interior mass."""
+    """Tails, heads and weight rows of the elementary flux at (s, x), counting only interior mass."""
     n = mu.dimension
     lo = x - 2.0 * s
     rel = np.floor((mu.points - lo) / (2.0 * s)).astype(int)
     inside = np.all((rel >= 0) & (rel < 2), axis=1)
-    edges, rows = [], []
-    for flat in range(2**n):
-        key = np.array([(flat >> d) & 1 for d in range(n)])
-        center = lo + 2.0 * s * (key + 0.5)
-        mask = inside & np.all(rel == key, axis=1)
-        edges.append((x.copy(), center))
-        rows.append(mu.weights[mask].sum(axis=0))
-    return edges, rows
+    keys = (np.arange(2**n)[:, None] >> np.arange(n)) & 1  # cell flat's key: bit d of flat on axis d
+    rows = np.array([mu.weights[inside & np.all(rel == key, axis=1)].sum(axis=0) for key in keys])
+    return np.tile(x, (2**n, 1)), lo + 2.0 * s * (keys + 0.5), rows
 
 
 def elementary_flux(mu: AtomicMeasurePath, s: float, x) -> TransportGraph:
@@ -56,8 +51,7 @@ def elementary_flux(mu: AtomicMeasurePath, s: float, x) -> TransportGraph:
     n = mu.dimension
     x = np.asarray(x, dtype=float) if np.ndim(x) else np.full(n, float(x))
     cell_index(mu.points, 1, DyadicLevelSpec(root=x, scale=s))  # raises if support escapes
-    edges, rows = _elementary_edges(mu, s, x)
-    return graph_from_paths(None, edges, np.array(rows), mu.grid)
+    return graph_from_paths(*_elementary_edges(mu, s, x), mu.grid)
 
 
 def recursive_flux(mu: AtomicMeasurePath, k: int, spec: DyadicLevelSpec = STANDARD) -> TransportGraph:
@@ -70,18 +64,16 @@ def recursive_flux(mu: AtomicMeasurePath, k: int, spec: DyadicLevelSpec = STANDA
     if k < 1:
         raise ValueError("depth must be >= 1")
     cell_index(mu.points, 1, spec)  # top-level support check
-    edges, rows = [], []
+    pieces = []
 
     def recurse(s, x, depth):
-        e, r = _elementary_edges(mu, s, x)
-        edges.extend(e)
-        rows.extend(r)
+        pieces.append(_elementary_edges(mu, s, x))
         if depth > 1:
-            for _, child in e:  # the child is its parent's edge head, so the vertices coincide
+            for child in pieces[-1][1]:  # the child is its parent's edge head, so the vertices coincide
                 recurse(s / 2.0, child, depth - 1)
 
     recurse(spec.scale, spec.origin(mu.dimension), k)
-    return graph_from_paths(None, edges, np.array(rows), mu.grid)
+    return graph_from_paths(*map(np.concatenate, zip(*pieces)), mu.grid)
 
 
 def _band_edges(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec):
@@ -101,7 +93,7 @@ def _band_edges(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec):
 
 
 def _tree_edges(mu: AtomicMeasurePath, k: int, reverse: bool, shift=0.0):
-    """Edge list and weight rows of mu's depth-k tree (layers 0..k-1).
+    """Tails, heads and weight rows of mu's depth-k tree (layers 0..k-1).
 
     Edges point coarse to fine, or fine to coarse when ``reverse``; every
     vertex is translated by ``shift``.
@@ -110,7 +102,7 @@ def _tree_edges(mu: AtomicMeasurePath, k: int, reverse: bool, shift=0.0):
     tails, heads = tails + shift, heads + shift
     if reverse:
         tails, heads = heads, tails
-    return list(zip(tails, heads)), list(rows)
+    return tails, heads, rows
 
 
 def band_flux(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec = STANDARD) -> TransportGraph:
@@ -123,8 +115,7 @@ def band_flux(mu: AtomicMeasurePath, k: int, ell: int, spec: DyadicLevelSpec = S
     """
     if not 1 <= k < ell:
         raise ValueError("levels must satisfy 1 <= k < l")
-    tails, heads, rows = _band_edges(mu, k, ell, spec)
-    return graph_from_paths(None, zip(tails, heads), rows, mu.grid)
+    return graph_from_paths(*_band_edges(mu, k, ell, spec), mu.grid)
 
 
 def band_flux_bounds(k: int, ell: int, n: int, beta: TransportCost,
@@ -181,11 +172,10 @@ def _connector_graph(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k:
         raise ValueError("time grids do not match")
     n = mu_plus.dimension
     shift = _bridge_shift(n, k)
-    plus_edges, plus_rows = _tree_edges(mu_plus, k, reverse=False)
-    minus_edges, minus_rows = _tree_edges(mu_minus, k, reverse=True, shift=shift)
-    edges = plus_edges + minus_edges + [(shift, np.zeros(n))]
-    rows = plus_rows + minus_rows + [np.ones(mu_plus.grid.n_samples)]
-    return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
+    pieces = (_tree_edges(mu_plus, k, reverse=False),
+              _tree_edges(mu_minus, k, reverse=True, shift=shift),
+              (shift[None], np.zeros((1, n)), np.ones((1, mu_plus.grid.n_samples))))  # the bridge
+    return prune_zero_edges(graph_from_paths(*map(np.concatenate, zip(*pieces)), mu_plus.grid))
 
 
 def connector(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath, k: int):

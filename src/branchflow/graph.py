@@ -21,6 +21,7 @@ from .measures import (
     _check_lambda,
     _check_p,
     _freeze,
+    _group,
     _require_finite,
     lp_time_norm,
     lp_time_norms,
@@ -82,11 +83,26 @@ class TransportGraph:
         return TransportGraph(self.vertices, self.edges, weights, self.grid)
 
 
+def _first_appearance(keys):
+    """(each row's number, each number's first row): equal rows of ``keys`` share a number.
+
+    Numbers follow the order in which their keys first appear, and a key
+    keeps its first spelling (see ``measures._group``).
+    """
+    group, first = _group(keys)
+    seen = np.argsort(first)  # groups in order of first appearance; its inverse renumbers them
+    return np.argsort(seen)[group], first[seen]
+
+
 def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
-    """Validated constructor: distinct vertices, no self loops, merged duplicates."""
+    """Validated constructor: distinct vertices, no self loops, merged duplicates.
+
+    Duplicate edges merge into their first occurrence, in order of first
+    appearance; their weight rows are added in input order.
+    """
     verts = np.atleast_2d(np.asarray(vertices, dtype=float))
     _require_finite(verts, "vertex")
-    if len({tuple(v) for v in verts}) != verts.shape[0]:
+    if len(_group(verts)[1]) != verts.shape[0]:
         raise ValueError("vertices must be pairwise distinct")
     edge_arr = np.asarray(edges, dtype=int).reshape(-1, 2)
     w = np.asarray(weights, dtype=float).reshape(edge_arr.shape[0], grid.n_samples)
@@ -94,42 +110,30 @@ def make_graph(vertices, edges, weights, grid: TimeGrid) -> TransportGraph:
     if np.any(w < -1e-12):
         raise ValueError("edge weights must be nonnegative")
     w = np.maximum(w, 0.0)
-    merged: dict[tuple[int, int], np.ndarray] = {}
-    order: list[tuple[int, int]] = []
-    for (t, h), row in zip(map(tuple, edge_arr), w):
-        if t == h:
-            raise ValueError(f"self loop at vertex {t}")
-        if (t, h) in merged:
-            merged[(t, h)] = merged[(t, h)] + row
-        else:
-            merged[(t, h)] = row.copy()
-            order.append((t, h))
-    if order:
-        edge_arr = np.array(order, dtype=int)
-        w = np.array([merged[e] for e in order])
-    else:
-        edge_arr = np.zeros((0, 2), dtype=int)
-        w = np.zeros((0, grid.n_samples))
-    return TransportGraph(verts, edge_arr, w, grid)
+    loops = edge_arr[:, 0] == edge_arr[:, 1]
+    if loops.any():
+        raise ValueError(f"self loop at vertex {edge_arr[loops][0, 0]}")
+    number, first = _first_appearance(edge_arr)
+    merged = w[first]
+    later = np.delete(np.arange(len(w)), first)  # every row but the first of its edge
+    np.add.at(merged, number[later], w[later])
+    return TransportGraph(verts, edge_arr[first], merged, grid)
 
 
 def empty_graph(dimension: int, grid: TimeGrid) -> TransportGraph:
     return TransportGraph(np.zeros((0, dimension)), np.zeros((0, 2), dtype=int), np.zeros((0, grid.n_samples)), grid)
 
 
-def graph_from_paths(vertices, edge_list, weight_rows, grid) -> TransportGraph:
-    """Build a graph from point coordinates instead of vertex indices."""
-    index: dict[tuple, int] = {}
-    verts: list[tuple] = []
-    edges = []
-    for tail_pt, head_pt in edge_list:
-        for pt in (tail_pt, head_pt):
-            key = tuple(pt)
-            if key not in index:
-                index[key] = len(verts)
-                verts.append(key)
-        edges.append((index[tuple(tail_pt)], index[tuple(head_pt)]))
-    return make_graph(np.array(verts), edges, weight_rows, grid)
+def graph_from_paths(tails, heads, rows, grid) -> TransportGraph:
+    """Build a graph from (E, n) tail and head coordinates instead of vertex indices.
+
+    Equal points are one vertex, numbered in order of first appearance
+    (each edge's tail before its head), and ``rows`` are the (E, N)
+    weight rows.
+    """
+    points = np.stack([tails, heads], axis=1).reshape(-1, tails.shape[1])  # t0, h0, t1, h1, ...
+    number, first = _first_appearance(points)
+    return make_graph(points[first], number.reshape(-1, 2), rows, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +546,7 @@ def separate_supports(a_plus: AtomicMeasurePath, a_minus: AtomicMeasurePath, del
     new_points = a_minus.points.copy()
     new_points[rows] = new
     moved = AtomicMeasurePath(new_points, a_minus.weights, a_minus.grid)
-    patch = graph_from_paths(None, zip(old, new), a_minus.weights[rows], a_minus.grid)
+    patch = graph_from_paths(old, new, a_minus.weights[rows], a_minus.grid)
     return moved, patch
 
 
@@ -576,16 +580,10 @@ def cancel_antiparallel(G: TransportGraph) -> TransportGraph:
 
 def merge_graphs(grid: TimeGrid, *graphs: TransportGraph) -> TransportGraph:
     """Union of graphs by vertex coordinates; duplicate edges merge by addition."""
-    edge_list = []
-    weight_rows = []
-    for g in graphs:
-        for e in range(g.n_edges):
-            edge_list.append((g.vertices[g.edges[e, 0]], g.vertices[g.edges[e, 1]]))
-            weight_rows.append(g.weights[e])
-    if not edge_list:
-        dim = graphs[0].dimension if graphs else 1
-        return empty_graph(dim, grid)
-    return graph_from_paths(None, edge_list, np.array(weight_rows), grid)
+    if not graphs:
+        return empty_graph(1, grid)
+    ends = np.concatenate([g.vertices[g.edges] for g in graphs])  # (E, 2, n)
+    return graph_from_paths(ends[:, 0], ends[:, 1], np.concatenate([g.weights for g in graphs]), grid)
 
 
 def holder_check(G: TransportGraph, p) -> float:

@@ -280,8 +280,8 @@ def instance_from_dict(data: dict) -> InstanceFile:
     lam = float(data.get("lambda", 1.0))
     _check_p(p)  # the schema's bounds, like JSON Schema's, let NaN (and lambda = inf) through
     _check_lambda(lam)
-    n = data["dimension"]
-    grid = TimeGrid(data["time_samples"])
+    n = int(data["dimension"])  # the schema, like JSON Schema, counts 4.0 as an integer
+    grid = TimeGrid(int(data["time_samples"]))
 
     all_points = []
     for name in ("mu_plus", "mu_minus"):

@@ -11,6 +11,7 @@ s = 1) tiles [-2, 2)^n, and instances are expected to live well inside
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -228,23 +229,33 @@ def cell_center(idx, k: int, spec: DyadicLevelSpec = STANDARD) -> np.ndarray:
     return lo + cell_side(k, spec) * (idx + 0.5)
 
 
-def _bucket(keys, rows):
-    """Sum ``rows`` over equal ``keys`` rows: (distinct keys in lexicographic order, sums).
+def _group(keys):
+    """Group the equal rows of a (R, m) key array: (each row's group, each group's first row).
 
     A stable lexsort, first key column primary, puts equal keys next to
-    each other in input order; each run's first row is its key, so where
-    keys differ only in the sign of a zero the first occurrence is kept.
-    The rows of a key are added in input order.
+    each other in input order.  Groups are numbered in lexicographic order
+    of their keys, and a group's first row is its first occurrence, so
+    where keys differ only in the sign of a zero the first spelling wins.
     """
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     starts = np.ones(len(order), dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    sums = np.zeros((int(np.count_nonzero(starts)),) + rows.shape[1:])
-    np.add.at(sums, inverse, rows)
-    return ordered[starts], sums
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return group, order[starts]
+
+
+def _bucket(keys, rows):
+    """Sum ``rows`` over equal ``keys`` rows: (distinct keys in lexicographic order, sums).
+
+    Each key is spelled as its first occurrence (see ``_group``), and the
+    rows of a key are added in input order.
+    """
+    group, first = _group(keys)
+    sums = np.zeros((len(first),) + rows.shape[1:])
+    np.add.at(sums, group, rows)
+    return keys[first], sums
 
 
 def _aggregate(points, weights, k):
@@ -354,7 +365,7 @@ def mollified_dyadic_project(a: AtomicMeasurePath, k: int, eps: float):
         lo_idx = np.floor((x - eps - DOMAIN_LO) / h).astype(int)
         hi_idx = np.floor((x + eps - DOMAIN_LO) / h).astype(int)
         ranges = [range(lo_idx[d], hi_idx[d] + 1) for d in range(n)]
-        for key in _iter_indices(ranges):
+        for key in itertools.product(*ranges):
             cell_lo = DOMAIN_LO + h * np.array(key, dtype=float)
             cell_hi = cell_lo + h
             box_lo = np.maximum(cell_lo, x - eps)
@@ -370,13 +381,3 @@ def mollified_dyadic_project(a: AtomicMeasurePath, k: int, eps: float):
     totals = table.sum(axis=0)
     factors = 1.0 / totals
     return AtomicMeasurePath(centers, table * factors, a.grid), factors
-
-
-def _iter_indices(ranges):
-    if len(ranges) == 1:
-        for i in ranges[0]:
-            yield (i,)
-        return
-    for i in ranges[0]:
-        for rest in _iter_indices(ranges[1:]):
-            yield (i,) + rest

@@ -48,7 +48,7 @@ from .graph import (
     strip_strong_cycles,
 )
 from .lp import _SampleLP
-from .measures import AtomicMeasurePath, cell_center, cell_index, derivative_path, lp_time_norm
+from .measures import AtomicMeasurePath, _group, cell_center, cell_index, derivative_path, lp_time_norm
 
 SEARCH_CYCLE_CAP = 512  # cycle cap for the search's candidates and its final witness
 PERTURBATION = 0.08  # standard deviation of the "perturb" move's junction shift
@@ -254,14 +254,10 @@ def baseline_upper(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
 
 def _gather_edges(path: AtomicMeasurePath, k: int, reverse: bool, shift=0.0):
     """Edges between atoms and their (shifted) level-k cell centers, skipping coincidences."""
-    edges, rows = [], []
     centers = cell_center(cell_index(path.points, k), k) + shift
-    for center, atom, row in zip(centers, path.points, path.weights):
-        if np.array_equal(center, atom):
-            continue
-        edges.append((center, atom) if reverse else (atom, center))
-        rows.append(row)
-    return edges, rows
+    keep = ~np.all(centers == path.points, axis=1)
+    ends = (centers[keep], path.points[keep]) if reverse else (path.points[keep], centers[keep])
+    return (*ends, path.weights[keep])
 
 
 def instance_connector_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
@@ -275,25 +271,23 @@ def instance_connector_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasu
     """
     n = mu_plus.dimension
     shift = _bridge_shift(n, k)
-    edges, rows = _gather_edges(mu_plus, k, reverse=False)
-    for piece_edges, piece_rows in (_tree_edges(mu_plus, k, reverse=True),
-                                    ([(np.zeros(n), shift)], [np.ones(mu_plus.grid.n_samples)]),
-                                    _tree_edges(mu_minus, k, reverse=False, shift=shift),
-                                    _gather_edges(mu_minus, k, reverse=True, shift=shift)):
-        edges += piece_edges
-        rows += piece_rows
-    return prune_zero_edges(graph_from_paths(None, edges, np.array(rows), mu_plus.grid))
+    pieces = (_gather_edges(mu_plus, k, reverse=False),
+              _tree_edges(mu_plus, k, reverse=True),
+              (np.zeros((1, n)), shift[None], np.ones((1, mu_plus.grid.n_samples))),  # the bridge
+              _tree_edges(mu_minus, k, reverse=False, shift=shift),
+              _gather_edges(mu_minus, k, reverse=True, shift=shift))
+    return prune_zero_edges(graph_from_paths(*map(np.concatenate, zip(*pieces)), mu_plus.grid))
 
 
 def direct_topology(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath) -> TransportGraph:
     """Complete bi-directed graph on the union of supports, zero weights."""
-    pts = sorted({tuple(p) for p in mu_plus.points} | {tuple(p) for p in mu_minus.points})
+    both = np.vstack([mu_plus.points, mu_minus.points])
+    pts = both[_group(both)[1]]  # lexicographic order
     if len(pts) > DIRECT_MAX_ATOMS:
         raise ValueError(f"direct topology limited to {DIRECT_MAX_ATOMS} atoms, got {len(pts)}")
-    grid = mu_plus.grid
-    edges = [(np.array(a), np.array(b)) for a in pts for b in pts if a != b]
-    rows = np.zeros((len(edges), grid.n_samples))
-    return graph_from_paths(None, edges, rows, grid)
+    tails, heads = np.nonzero(~np.eye(len(pts), dtype=bool))
+    return graph_from_paths(pts[tails], pts[heads], np.zeros((len(tails), mu_plus.grid.n_samples)),
+                            mu_plus.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from branchflow.graph import (
     _net_inflow,
     _order_values,
     cancel_antiparallel,
+    graph_from_paths,
     is_never_cyclic,
     max_order,
     prune_zero_edges,
@@ -107,6 +108,104 @@ def test_direct_constructor_rejects_endpoints_out_of_range():
     with pytest.raises(ValueError, match="edge endpoint out of range"):
         make_graph(verts, [(0, -1)], [[1, 1]], grid)
     assert TransportGraph(np.zeros((0, 1)), np.zeros((0, 2), dtype=int), np.zeros((0, 2)), grid).n_edges == 0
+
+
+def _reference_make_graph(vertices, edges, weights, grid):
+    """make_graph as a dict loop: the reference for its checks and its duplicate-edge merge."""
+    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+    if len({tuple(v) for v in verts}) != verts.shape[0]:
+        raise ValueError("vertices must be pairwise distinct")
+    edge_arr = np.asarray(edges, dtype=int).reshape(-1, 2)
+    w = np.asarray(weights, dtype=float).reshape(edge_arr.shape[0], grid.n_samples)
+    w = np.maximum(w, 0.0)
+    merged: dict[tuple[int, int], np.ndarray] = {}
+    order: list[tuple[int, int]] = []
+    for (t, h), row in zip(map(tuple, edge_arr), w):
+        if t == h:
+            raise ValueError(f"self loop at vertex {t}")
+        if (t, h) in merged:
+            merged[(t, h)] = merged[(t, h)] + row
+        else:
+            merged[(t, h)] = row.copy()
+            order.append((t, h))
+    if order:
+        edge_arr = np.array(order, dtype=int)
+        w = np.array([merged[e] for e in order])
+    else:
+        edge_arr = np.zeros((0, 2), dtype=int)
+        w = np.zeros((0, grid.n_samples))
+    return TransportGraph(verts, edge_arr, w, grid)
+
+
+def _reference_graph_from_paths(edge_list, weight_rows, grid):
+    """graph_from_paths as a dict loop over point pairs: the reference for its vertex numbering."""
+    index: dict[tuple, int] = {}
+    verts: list[tuple] = []
+    edges = []
+    for tail_pt, head_pt in edge_list:
+        for pt in (tail_pt, head_pt):
+            key = tuple(pt)
+            if key not in index:
+                index[key] = len(verts)
+                verts.append(key)
+        edges.append((index[tuple(tail_pt)], index[tuple(head_pt)]))
+    return _reference_make_graph(np.array(verts), edges, weight_rows, grid)
+
+
+_COORDS = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 1.0])
+_WEIGHTS = st.sampled_from([0.0, -0.0, -1e-13, 1e-13, 0.1, 0.2, 1.0 / 3.0, 0.7])
+
+
+@st.composite
+def _point_pairs(draw):
+    """(tails, heads, rows, grid): edges between a few distinct points, each end spelled with or
+    without the signs of its zeros flipped, so equal points meet as 0.0 and -0.0; repeated,
+    duplicate and antiparallel edges and the empty edge list all occur."""
+    n = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[_COORDS] * n), min_size=2, max_size=5, unique=True))
+    end = st.tuples(st.integers(0, len(pts) - 1), st.booleans())
+    pairs = draw(st.lists(st.tuples(end, end).filter(lambda e: e[0][0] != e[1][0]), max_size=12))
+
+    def spell(i, flip):
+        p = np.array(pts[i])
+        return np.where(p == 0.0, -p, p) if flip else p
+
+    tails = np.array([spell(*t) for t, _ in pairs]).reshape(-1, n)
+    heads = np.array([spell(*h) for _, h in pairs]).reshape(-1, n)
+    n_samples = draw(st.integers(2, 3))
+    rows = np.array(draw(st.lists(_WEIGHTS, min_size=len(pairs) * n_samples,
+                                  max_size=len(pairs) * n_samples))).reshape(-1, n_samples)
+    return tails, heads, rows, TimeGrid(n_samples)
+
+
+@given(_point_pairs())
+@settings(max_examples=200, deadline=None)
+def test_graph_from_paths_matches_the_dict_loop_bytewise(case):
+    # vertices and edges in first-appearance order, a point keeps its first spelling of a zero's
+    # sign, duplicate edges merge into their first occurrence with rows added in input order
+    tails, heads, rows, grid = case
+    G = graph_from_paths(tails, heads, rows, grid)
+    ref = _reference_graph_from_paths(zip(tails, heads), rows, grid)
+    for got, want in ((G.vertices, ref.vertices), (G.edges, ref.edges), (G.weights, ref.weights)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert G.edges.shape == ref.edges.shape and G.weights.shape == ref.weights.shape
+    # the dict loop's np.array([]) has shape (1, 0); the array form keeps the dimension
+    assert G.vertices.shape == (ref.vertices.shape if len(tails) else (0, tails.shape[1]))
+
+
+def test_graph_builders_raise_the_dict_loops_errors():
+    grid = TimeGrid(2)
+    # the first self loop in input order is named, after distinct duplicates
+    edges, w = [(0, 1), (0, 1), (2, 2), (1, 1)], np.ones((4, 2))
+    for build in (make_graph, _reference_make_graph):
+        with pytest.raises(ValueError, match=r"^self loop at vertex 2$"):
+            build([[0.0], [1.0], [2.0]], edges, w, grid)
+        # points that differ only in the sign of a zero are one vertex
+        with pytest.raises(ValueError, match=r"^vertices must be pairwise distinct$"):
+            build([[1.0, 0.0], [0.5, 0.5], [1.0, -0.0]], [(0, 1)], np.ones((1, 2)), grid)
+    # an edge from 0.0 to -0.0 joins one vertex to itself
+    with pytest.raises(ValueError, match=r"^self loop at vertex 2$"):
+        graph_from_paths(np.array([[0.5], [0.0]]), np.array([[1.0], [-0.0]]), np.ones((2, 2)), grid)
 
 
 def test_energy_rejects_a_directly_built_graph_with_a_nan_weight():

@@ -140,6 +140,20 @@ def test_energy_subcommand_single_edge(tmp_path, capsys):
     assert out["kirchhoff_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("command", [["validate"], ["energy"], ["optimize", "--k-max", "1", "--iters", "4"]])
+def test_integral_floats_for_dimension_and_samples_read_as_integers(tmp_path, capsys, command):
+    # the schema, like JSON Schema, lets 4.0 pass where it asks for an integer
+    outs = []
+    for n, n_samples in ((1, 4), (1.0, 4.0)):
+        data = single_edge_instance()
+        data["dimension"], data["time_samples"] = n, n_samples
+        path = tmp_path / f"instance_{n_samples}.json"
+        path.write_text(json.dumps(data))
+        assert run_subcommand([command[0], str(path), *command[1:]]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_energy_requires_graph(instance_path, capsys):
     assert run_subcommand(["energy", instance_path]) == 1
     assert "graph" in capsys.readouterr().err
