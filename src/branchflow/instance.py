@@ -283,14 +283,15 @@ def instance_from_dict(data: dict) -> InstanceFile:
     n = int(data["dimension"])  # the schema, like JSON Schema, counts 4.0 as an integer
     grid = TimeGrid(int(data["time_samples"]))
 
-    all_points = []
-    for name in ("mu_plus", "mu_minus"):
-        pts = np.asarray(data[name]["points"], dtype=float)
-        if pts.shape[1] != n:
-            raise ValueError(f"{name} points have dimension {pts.shape[1]}, expected {n}")
-        all_points.append(pts)
+    rows = {"mu_plus points": data["mu_plus"]["points"], "mu_minus points": data["mu_minus"]["points"]}
     if data.get("graph") is not None:
-        all_points.append(np.asarray(data["graph"]["vertices"], dtype=float))
+        rows["graph vertices"] = data["graph"]["vertices"]
+    all_points = []
+    for what, payload in rows.items():
+        pts = np.asarray(payload, dtype=float) if payload else np.zeros((0, n))  # a graph may have no rows
+        if pts.shape[1] != n:
+            raise ValueError(f"{what} have dimension {pts.shape[1]}, expected {n}")
+        all_points.append(pts)
     for name, pts in zip(("mu_plus", "mu_minus", "graph"), all_points):
         try:
             _require_finite(pts, "point")
@@ -313,8 +314,8 @@ def instance_from_dict(data: dict) -> InstanceFile:
     graph = None
     if data.get("graph") is not None:
         g = data["graph"]
-        graph = make_graph(transform.apply(np.asarray(g["vertices"], dtype=float)),
-                           g["edges"], g["weights"], grid)
+        vertices = all_points[2]  # parsed with the paths' points above
+        graph = make_graph(transform.apply(vertices), g["edges"], g["weights"], grid)
 
     cost = parse_cost(data["cost"]) if "cost" in data else None
     return InstanceFile(

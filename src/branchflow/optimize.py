@@ -290,6 +290,24 @@ def direct_topology(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath) -> 
                             mu_plus.grid)
 
 
+def line_witness(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath) -> TransportGraph:
+    """The line graph through the sorted union support of two paths on the line.
+
+    Every support point is a vertex, also one whose net mass is always 0.
+    Across gap i, edge i -> i+1 carries max(F_i, 0) and edge i+1 -> i
+    carries max(-F_i, 0), F as in ``wasserstein.line_flux``; an edge that
+    is 0 at every sample is left out.  At each sample at most one of the
+    two carries weight, so the graph is never cyclic, and it attains the
+    coarea bound of ``wasserstein.lower_bound_terms``.
+    """
+    pts, flux = wasserstein.line_flux(mu_plus, mu_minus)
+    gaps = np.arange(len(flux))
+    edges = np.concatenate([np.column_stack([gaps, gaps + 1]), np.column_stack([gaps + 1, gaps])])
+    weights = np.concatenate([np.maximum(flux, 0.0), np.maximum(-flux, 0.0)])
+    used = np.any(weights > 0.0, axis=1)
+    return TransportGraph(pts, edges[used], weights[used], mu_plus.grid)
+
+
 # ---------------------------------------------------------------------------
 # local search
 # ---------------------------------------------------------------------------
@@ -336,7 +354,14 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
                  cfg: OptimizerConfig | None = None) -> DistanceReport:
     """Bracket the distance between two atomic paths.
 
-    Seeds from the direct topology; above ``DIRECT_MAX_ATOMS`` atoms,
+    On the line, for a cost that ``wasserstein.line_bound_applies`` to,
+    the line witness attains the lower bound, so it is returned with no
+    search and ``iterations_used`` 0.  Rounding can leave the lower bound
+    a few ulps above the witness's energy; ``lower`` then reports that
+    energy, so ``gap`` is never negative.  When the two differ by more
+    than 1e-12 relative, either way, which a correct bound and witness
+    never do, the search below runs instead.
+    It seeds from the direct topology; above ``DIRECT_MAX_ATOMS`` atoms,
     where ``direct_topology`` refuses, from the best depth-1..k_max
     connector witness instead.  Then alternates strictly-improving moves
     (junction insertion, perturbation, edge insertion, reoptimization);
@@ -355,6 +380,13 @@ def local_search(mu_plus: AtomicMeasurePath, mu_minus: AtomicMeasurePath,
     if _paths_equal(mu_plus, mu_minus):
         witness, upper = empty_graph(mu_plus.dimension, mu_plus.grid), 0.0
         return DistanceReport(lower, upper, witness, baselines, 0, upper - lower)
+
+    if mu_plus.dimension == 1 and wasserstein.line_bound_applies(tau):
+        witness = line_witness(mu_plus, mu_minus)
+        upper = energy(witness, tau, p, lam, cycle_cap=SEARCH_CYCLE_CAP).total
+        if abs(upper - lower) <= 1e-12 * max(1.0, upper):
+            lower = min(lower, upper)
+            return DistanceReport(lower, upper, witness, baselines, 0, upper - lower)
 
     delta = min(1e-9, _min_spacing(np.vstack([mu_plus.points, mu_minus.points])) / 4.0)
     target, patch = separate_supports(mu_plus, mu_minus, delta)

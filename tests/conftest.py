@@ -6,6 +6,8 @@ from scipy.sparse import coo_array
 from branchflow import AtomicMeasurePath, TimeGrid, TransportGraph, make_atomic_path, make_graph
 from branchflow.optimize import _coupled_matrix
 
+BUMPY = [[0.0, 0.0], [0.5, 0.6], [0.6, 0.61], [1.0, 0.93]]  # a subadditive cost table that is not concave
+
 
 def triplets(B):
     """(rows, cols, values, shape) of a dense or sparse matrix, as ``_SampleLP`` takes them."""
@@ -34,6 +36,35 @@ def random_path(rng, n=1, atoms=3, n_samples=4, box=0.9) -> AtomicMeasurePath:
     w = rng.uniform(0.1, 1.0, size=(atoms, n_samples))
     w /= w.sum(axis=0)
     return make_atomic_path(pts, w, grid)
+
+
+def line_pair(rng, atoms_plus=3, atoms_minus=3, shared=1, n_samples=4, box=0.9):
+    """Two random paths on the line whose supports share ``shared`` points.
+
+    The first shared point carries the same weight row in both paths, so
+    its net mass is 0 at every sample; the second path is built without
+    renormalizing, so that row stays exact.  It needs atoms_minus > shared.
+    """
+    mu = random_path(rng, n=1, atoms=atoms_plus, n_samples=n_samples, box=box)
+    while True:
+        fresh = rng.uniform(-box, box, size=(atoms_minus - shared, 1))
+        pts = np.vstack([mu.points[:shared], fresh])
+        if len({tuple(p) for p in pts} | mu.support()) == atoms_plus + atoms_minus - shared:
+            break
+    w = rng.uniform(0.1, 1.0, size=(atoms_minus, n_samples))
+    if shared:
+        w[0] = mu.weights[0]
+        w[1:] *= (1.0 - w[0]) / w[1:].sum(axis=0)
+    else:
+        w /= w.sum(axis=0)
+    return mu, AtomicMeasurePath(pts, w, mu.grid)
+
+
+def concave_table(rng, pieces=3):
+    """A random concave, nondecreasing cost table from (0, 0), flat beyond its last sample."""
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, size=pieces))])
+    slopes = np.sort(rng.uniform(0.0, 2.0, size=pieces))[::-1]
+    return np.column_stack([xs, np.concatenate([[0.0], np.cumsum(slopes * np.diff(xs))])])
 
 
 def random_graph(rng, n=2, n_vertices=5, n_samples=4, density=0.4) -> TransportGraph:

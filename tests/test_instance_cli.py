@@ -197,6 +197,30 @@ def test_validate_rejects_a_nan_or_infinite_lambda_and_a_nan_p(tmp_path, capsys,
     assert captured.err.startswith("error: " + message)
 
 
+def test_validate_accepts_a_graph_with_no_rows(tmp_path, capsys):
+    # the schema lets a graph have no vertices, edges or weights
+    data = minimal_instance()
+    data["graph"] = {"vertices": [], "edges": [], "weights": []}
+    path = tmp_path / "empty_graph.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["graph_edges"] == 0
+    assert load_instance(str(path)).graph.vertices.shape == (0, 1)
+
+
+def test_validate_names_graph_vertices_of_the_wrong_dimension(tmp_path, capsys):
+    data = single_edge_instance()
+    data["graph"]["vertices"] = [[0.1, 0.0], [0.8, 0.0]]
+    path = tmp_path / "flat_graph.json"
+    path.write_text(json.dumps(data))
+    assert run_subcommand(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph vertices have dimension 2, expected 1\n"
+
+
 def test_energy_reports_a_cycle_explosion(tmp_path, capsys):
     # every ordered pair of 4 vertices is an edge: 6 + 8 + 6 = 20 simple cycles, more than
     # energy's default cap of 10; the unit flow 0 -> 3 rides on a balanced circulation
@@ -246,8 +270,9 @@ def test_optimize_subcommand_delta_pair(tmp_path, instance_path, capsys):
 def test_optimize_without_a_seed_topology_exits_1(tmp_path, capsys):
     # 7 + 7 atoms are too many for the direct topology, and --k-max 0 builds no connector
     data = minimal_instance()
-    data["mu_plus"] = {"points": [[0.1 * i] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
-    data["mu_minus"] = {"points": [[0.05 + 0.1 * i] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
+    data["dimension"] = 2
+    data["mu_plus"] = {"points": [[0.1 * i, 0.0] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
+    data["mu_minus"] = {"points": [[0.05 + 0.1 * i, 0.0] for i in range(7)], "weights": [[1.0 / 7] * 4] * 7}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(data))
     assert run_subcommand(["optimize", str(path), "--k-max", "0", "--iters", "4"]) == 1

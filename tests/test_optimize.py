@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -20,6 +22,7 @@ from branchflow import (
     TimeGrid,
     baseline_upper,
     derivative_lp_norm,
+    energy,
     kirchhoff_residual,
     local_search,
     lower_bound,
@@ -30,7 +33,7 @@ from branchflow import (
     power_cost,
     tabulated_cost,
 )
-from branchflow import optimize
+from branchflow import optimize, wasserstein
 from branchflow.graph import (
     CycleExplosionError,
     TransportGraph,
@@ -54,7 +57,17 @@ from branchflow.optimize import (
 )
 from branchflow.wasserstein import lower_bound_terms
 
-from conftest import cyclic_flow_instance, from_triplets, incidence, random_graph, random_path, triplets
+from conftest import (
+    BUMPY,
+    concave_table,
+    cyclic_flow_instance,
+    from_triplets,
+    incidence,
+    line_pair,
+    random_graph,
+    random_path,
+    triplets,
+)
 
 
 def delta(x, n_samples=4):
@@ -561,7 +574,7 @@ def test_shared_support_instances_stay_feasible():
 def test_local_search_without_a_seed_raises(monkeypatch):
     # 14 atoms are too many for the direct topology, and k_max = 0 builds no connector
     rng = np.random.default_rng(6)
-    mu, nu = random_path(rng, n=1, atoms=7), random_path(rng, n=1, atoms=7)
+    mu, nu = random_path(rng, n=2, atoms=7), random_path(rng, n=2, atoms=7)
     with pytest.raises(ValueError, match="no seed topology: direct topology limited to 12 atoms, got 14"):
         local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=0))
     # every seed has too many cycles to certify
@@ -570,7 +583,7 @@ def test_local_search_without_a_seed_raises(monkeypatch):
         raise CycleExplosionError(SEARCH_CYCLE_CAP + 1, SEARCH_CYCLE_CAP)
 
     monkeypatch.setattr(optimize, "strip_strong_cycles", explode)
-    mu, nu = random_path(rng, n=1, atoms=3), random_path(rng, n=1, atoms=2)
+    mu, nu = random_path(rng, n=2, atoms=3), random_path(rng, n=2, atoms=2)
     with pytest.raises(ValueError, match=f"every seed candidate has more than {SEARCH_CYCLE_CAP} simple cycles"):
         local_search(mu, nu, power_cost(0.8), 2, 0.3, FAST)
 
@@ -582,7 +595,7 @@ def test_local_search_seeds_only_from_the_direct_topology_up_to_twelve_atoms(mon
 
     monkeypatch.setattr(optimize, "instance_connector_witness", refuse)
     rng = np.random.default_rng(11)
-    mu, nu = random_path(rng, n=1, atoms=atoms[0]), random_path(rng, n=1, atoms=atoms[1])
+    mu, nu = random_path(rng, n=2, atoms=atoms[0]), random_path(rng, n=2, atoms=atoms[1])
     rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=2))
     assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-6
 
@@ -596,10 +609,62 @@ def test_local_search_seeds_from_every_connector_witness_above_twelve_atoms(monk
 
     monkeypatch.setattr(optimize, "instance_connector_witness", counting)
     rng = np.random.default_rng(12)
-    mu, nu = random_path(rng, n=1, atoms=7), random_path(rng, n=1, atoms=7)
+    mu, nu = random_path(rng, n=2, atoms=7), random_path(rng, n=2, atoms=7)
     rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=2, iterations=2))
     assert calls == [1, 2]
     assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-6
+
+
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 1.0), table=st.booleans(),
+       p=st.sampled_from([2, 4, math.inf]), shared=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_local_search_on_the_line_returns_the_line_witness_without_searching(seed, alpha, table, p, shared):
+    rng = np.random.default_rng(seed)
+    mu, nu = line_pair(rng, 3, 3, shared=shared)
+    tau = tabulated_cost(concave_table(rng)) if table else power_cost(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rho(tau, 1) != 1 for most tables
+        rep = local_search(mu, nu, tau, p, 0.3, FAST)
+    assert rep.iterations_used == 0
+    assert 0.0 <= rep.gap <= 1e-12 * rep.upper
+    W = rep.witness
+    assert kirchhoff_residual(W, mu, nu) <= 1e-12  # every support point is a vertex
+    assert is_never_cyclic(W)
+    assert float(W.weights.max()) <= 1.0 + 1e-12
+    assert len({tuple(e) for e in W.edges.tolist()}) == W.n_edges  # no parallel edges
+    assert rep.upper == energy(W, tau, p, 0.3, cycle_cap=SEARCH_CYCLE_CAP).total
+
+
+def test_local_search_on_the_line_needs_no_seed_topology():
+    # 14 atoms are too many for the direct topology, and k_max = 0 builds no connector
+    rng = np.random.default_rng(6)
+    mu, nu = random_path(rng, n=1, atoms=7), random_path(rng, n=1, atoms=7)
+    rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, replace(FAST, k_max=0))
+    assert rep.iterations_used == 0 and rep.baseline_upper == {}
+    assert 0.0 <= rep.gap <= 1e-12 * rep.upper
+    assert kirchhoff_residual(rep.witness, mu, nu) <= 1e-12
+
+
+def test_local_search_on_the_line_searches_for_a_cost_the_line_bound_does_not_cover():
+    rng = np.random.default_rng(49)
+    mu, nu = line_pair(rng, 3, 2, shared=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rho(tau, 1) = 0.93
+        rep = local_search(mu, nu, tabulated_cost(BUMPY), 2, 0.3, FAST)
+    assert rep.iterations_used > 0
+    assert rep.lower <= rep.upper
+
+
+@pytest.mark.parametrize("offset", [-0.1, 0.1])
+def test_local_search_on_the_line_searches_when_the_bound_and_the_line_witness_differ(monkeypatch, offset):
+    # a defect on either side must not pass for a closed bracket
+    rng = np.random.default_rng(50)
+    mu, nu = line_pair(rng, 3, 2, shared=1)
+    bound = wasserstein.lower_bound
+    monkeypatch.setattr(wasserstein, "lower_bound", lambda *args: bound(*args) + offset)
+    rep = local_search(mu, nu, power_cost(0.8), 2, 0.3, FAST)
+    assert rep.iterations_used > 0
+    assert rep.gap == rep.upper - rep.lower
 
 
 @pytest.mark.parametrize("alpha", [0.8, 0.4])  # admissible in the plane iff alpha > 1 - 1/2

@@ -1,4 +1,5 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,12 +21,19 @@ from branchflow import (
     make_atomic_path,
     power_cost,
 )
-from branchflow import wasserstein
+from branchflow import tabulated_cost, wasserstein
 from branchflow.lp import _SampleLP
 from branchflow.measures import lp_time_norm
-from branchflow.wasserstein import _merge_difference, lid1_dual_lp, lower_bound_terms, measure_at
+from branchflow.wasserstein import (
+    _merge_difference,
+    lid1_dual_lp,
+    line_bound_applies,
+    line_flux,
+    lower_bound_terms,
+    measure_at,
+)
 
-from conftest import random_path, triplets
+from conftest import BUMPY, concave_table, line_pair, random_path, triplets
 
 
 def test_lid1_two_deltas():
@@ -285,6 +293,70 @@ def test_lower_bound_under_connector_energy():
             G, a_plus, a_minus = connector(mu, nu, k)
             total = energy(G, tau, 2, 0.4).total
             assert lower_bound(a_plus, a_minus, tau, 2, 0.4) <= total + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the coarea bound on the line
+# ---------------------------------------------------------------------------
+
+def test_line_bound_applies_to_power_and_concave_tabulated_costs():
+    assert line_bound_applies(power_cost(0.3)) and line_bound_applies(power_cost(1.0))
+    assert line_bound_applies(tabulated_cost([[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]]))
+    assert line_bound_applies(tabulated_cost([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]))  # linear
+    assert not line_bound_applies(tabulated_cost(BUMPY))  # the slope rises from 0.1 to 0.8
+
+
+def test_line_flux_nets_shared_points_and_keeps_every_point():
+    grid = TimeGrid(2)
+    mu = AtomicMeasurePath([[0.5], [-0.5], [0.0]], [[0.5, 0.25], [0.25, 0.25], [0.25, 0.5]], grid)
+    nu = AtomicMeasurePath([[0.0], [0.9], [0.5]], [[0.25, 0.5], [0.5, 0.25], [0.25, 0.25]], grid)
+    pts, flux = line_flux(mu, nu)
+    assert pts[:, 0].tolist() == [-0.5, 0.0, 0.5, 0.9]
+    # 0.0 nets to zero at both samples; left of 0.9 sits mu's surplus over nu
+    assert flux.tolist() == [[0.25, 0.25], [0.25, 0.25], [0.5, 0.25]]
+
+
+def test_line_mass_term_is_the_coarea_sum_and_raises_the_bound():
+    grid = TimeGrid(4)
+    mu = make_atomic_path([[-0.5], [0.5]], np.full((2, 4), 0.5), grid)
+    nu = make_atomic_path([[0.0]], np.ones((1, 4)), grid)
+    tau = power_cost(0.5)
+    terms = lower_bound_terms(mu, nu, tau, 2, 0.1)
+    # each half of the mass crosses its own gap: 2 * tau(1/2) * 0.5, above Lid1 = 0.5
+    assert terms["line_mass_term"] == pytest.approx(0.5**0.5)
+    assert terms["lid1_mass_term"] == pytest.approx(0.5)
+    assert terms["lower_bound"] == pytest.approx(0.5**0.5)
+
+
+@pytest.mark.parametrize("n, table", [(2, None), (2, [[0.0, 0.0], [0.25, 0.5], [1.0, 0.8]]), (1, BUMPY)])
+def test_lower_bound_keeps_its_expression_bitwise_off_the_line_or_for_an_uncovered_cost(n, table):
+    rng = np.random.default_rng(47)
+    mu, nu = random_path(rng, n=n, atoms=4), random_path(rng, n=n, atoms=3)
+    tau = power_cost(0.8) if table is None else tabulated_cost(table)
+    terms = lower_bound_terms(mu, nu, tau, 2, 0.3)
+    assert "line_mass_term" not in terms
+    expected = terms["rho"] * terms["lid1_mass_term"] + 0.3 * terms["lid1_derivative_term"]
+    assert terms["lower_bound"].hex() == expected.hex()
+
+
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.05, 1.0), table=st.booleans(),
+       p=st.sampled_from([2, 4, math.inf]), shared=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_line_bound_stays_under_every_connector_on_the_line(seed, alpha, table, p, shared):
+    rng = np.random.default_rng(seed)
+    mu, nu = line_pair(rng, 3, 3, shared=shared)
+    tau = tabulated_cost(concave_table(rng)) if table else power_cost(alpha)
+    lam = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rho(tau, 1) != 1 for most tables
+        terms = lower_bound_terms(mu, nu, tau, p, lam)
+        assert terms["line_mass_term"] >= 0.0
+        # the line bound only ever raises the lid1 bound
+        old = terms["rho"] * terms["lid1_mass_term"] + lam * terms["lid1_derivative_term"]
+        assert terms["lower_bound"] >= old - 1e-12
+        for k in (1, 2, 3):
+            G, a_plus, a_minus = connector(mu, nu, k)
+            assert lower_bound(a_plus, a_minus, tau, p, lam) <= energy(G, tau, p, lam).total + 1e-12
 
 
 def test_lower_bound_includes_derivative_term():
